@@ -17,6 +17,13 @@ candidate answer set"):
   ``wins(n) + #unsettled clients without a determined win on n``;
 * the answer is declared once some fully-determined candidate's count
   reaches every other candidate's upper bound.
+
+Because that upper bound equals ``settled_wins(n) + |U|`` (wins on
+settled clients plus every unsettled one), the answer check needs only
+the candidate ranked first by ``(settled_wins, -id)``: it is the answer
+exactly when it has a win on every unsettled client.  That leader is
+kept current as settled wins are credited, so each check is O(1)
+instead of a scan over ``Fn`` (docs/ALGORITHMS.md, Section 7).
 """
 
 from __future__ import annotations
@@ -61,6 +68,10 @@ class _MaxSumState:
         # Wins credited while the client was unsettled; the complement
         # (unsettled clients without a win on n) is the open-status set.
         self.unsettled_wins: Dict[PartitionId, int] = {}
+        # Wins on settled clients (final) and the candidate ranked first
+        # by (settled_wins, -id): the only possible answer.
+        self.settled_wins: Dict[PartitionId, int] = {}
+        self.top: PartitionId = min(self.candidates)
         self.win_pairs: Dict[int, Set[PartitionId]] = {}
         self.recorded: Dict[int, Dict[PartitionId, float]] = {}
         self.events: List[Tuple[float, int, int, PartitionId]] = []
@@ -75,6 +86,7 @@ class _MaxSumState:
             # Only possible with pruning ablated: judge immediately.
             if not is_existing and dist < self.settled_de[client_id]:
                 self.wins[facility] = self.wins.get(facility, 0) + 1
+                self._credit_settled(facility)
             return
         kind = self._EXISTING if is_existing else self._CANDIDATE
         if not is_existing:
@@ -106,50 +118,38 @@ class _MaxSumState:
         marks = self.win_pairs.pop(client_id, set())
         for facility in marks:
             self.unsettled_wins[facility] -= 1
+            self._credit_settled(facility)
         for facility, dist in self.recorded.pop(client_id, {}).items():
             if facility in marks:
                 continue  # already credited while unsettled
             if dist < de:
                 self.wins[facility] = self.wins.get(facility, 0) + 1
+                self._credit_settled(facility)
 
-    def upper_bound(self, facility: PartitionId) -> int:
-        open_statuses = len(self.unsettled) - self.unsettled_wins.get(
-            facility, 0
-        )
-        return self.wins.get(facility, 0) + open_statuses
-
-    def exact_count(self, facility: PartitionId) -> Optional[int]:
-        if self.unsettled_wins.get(facility, 0) != len(self.unsettled):
-            return None
-        return self.wins.get(facility, 0)
+    def _credit_settled(self, facility: PartitionId) -> None:
+        count = self.settled_wins.get(facility, 0) + 1
+        self.settled_wins[facility] = count
+        top = self.top
+        if facility != top:
+            top_count = self.settled_wins.get(top, 0)
+            if count > top_count or (
+                count == top_count and facility < top
+            ):
+                self.top = facility
 
     def check_answer(self) -> Optional[Tuple[PartitionId, int]]:
-        best_count = -1
-        best_pid: Optional[PartitionId] = None
-        for facility in self.candidates:
-            count = self.exact_count(facility)
-            if count is None:
-                continue
-            if count > best_count or (
-                count == best_count
-                and best_pid is not None
-                and facility < best_pid
-            ):
-                best_count = count
-                best_pid = facility
-        if best_pid is None:
+        """The answer once decided, in O(1).
+
+        Every candidate's upper bound is ``settled_wins(n) + |U|`` and
+        a fully-determined count equals its bound, so the answer of the
+        full scan (best exact count, every other bound no larger, ties
+        to the smaller id) is ``top`` when ``top`` has a win on every
+        unsettled client, and undecided otherwise.
+        """
+        top = self.top
+        if self.unsettled_wins.get(top, 0) != len(self.unsettled):
             return None
-        for facility in self.candidates:
-            if facility == best_pid:
-                continue
-            bound = self.upper_bound(facility)
-            if bound > best_count:
-                return None
-            if bound == best_count and self.exact_count(facility) is None:
-                # A competitor could still tie with a smaller id.
-                if facility < best_pid:
-                    return None
-        return best_pid, best_count
+        return top, self.wins.get(top, 0)
 
 
 def efficient_maxsum(

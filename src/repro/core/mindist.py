@@ -20,7 +20,10 @@ answers are generated and checked:
 
 Bookkeeping is incremental: per candidate we store only adjustments
 relative to the shared ``sum(de)`` of settled clients, so one settle
-event costs O(retrieved pairs of that client), not O(|Fn|).
+event costs O(retrieved pairs of that client), not O(|Fn|).  A
+histogram of alive candidates by exact-term count lets the answer check
+return in O(1) while no alive candidate is exact yet; only then does it
+scan (and prune) the alive set.
 """
 
 from __future__ import annotations
@@ -61,6 +64,10 @@ class _MinDistState:
         # Candidate n: exact unsettled terms (d <= Gd) sum and count.
         self.ex_sum: Dict[PartitionId, float] = {}
         self.ex_count: Dict[PartitionId, int] = {}
+        # level[k]: alive candidates with ex_count == k.  A candidate is
+        # exact when ex_count == |U|; none is while level[|U|] == 0.
+        self.level: List[int] = [0] * (len(self.unsettled) + 1)
+        self.level[0] = len(self.alive)
         # Per client: recorded candidate distances, exact-marked pairs.
         self.recorded: Dict[int, Dict[PartitionId, float]] = {}
         self.exact_pairs: Dict[int, Set[PartitionId]] = {}
@@ -102,7 +109,11 @@ class _MinDistState:
                 continue
             marks.add(facility)
             self.ex_sum[facility] = self.ex_sum.get(facility, 0.0) + dist
-            self.ex_count[facility] = self.ex_count.get(facility, 0) + 1
+            count = self.ex_count.get(facility, 0)
+            self.ex_count[facility] = count + 1
+            if facility in self.alive:
+                self.level[count] -= 1
+                self.level[count + 1] += 1
         while self.settle_heap and self.settle_heap[0][0] <= gd:
             de, client_id = heapq.heappop(self.settle_heap)
             if client_id in self.unsettled:
@@ -119,40 +130,46 @@ class _MinDistState:
                 # Move from the unsettled-exact pool into the settled
                 # adjustment (term value min(de, dist) stays exact).
                 self.ex_sum[facility] -= dist
-                self.ex_count[facility] -= 1
+                count = self.ex_count[facility]
+                self.ex_count[facility] = count - 1
+                if facility in self.alive:
+                    self.level[count] -= 1
+                    self.level[count - 1] += 1
             term = dist if dist < de else de
             self.adj[facility] = (
                 self.adj.get(facility, 0.0) + term - de
             )
 
-    # -- bounds ----------------------------------------------------------
-    def lower_bound(self, facility: PartitionId, gd: float) -> float:
-        unknown = len(self.unsettled) - self.ex_count.get(facility, 0)
-        return (
-            self.settled_base
-            + self.adj.get(facility, 0.0)
-            + self.ex_sum.get(facility, 0.0)
-            + (unknown * gd if unknown else 0.0)  # avoid 0 * inf = nan
-        )
-
-    def exact_total(self, facility: PartitionId) -> Optional[float]:
-        if self.ex_count.get(facility, 0) != len(self.unsettled):
-            return None
-        return (
-            self.settled_base
-            + self.adj.get(facility, 0.0)
-            + self.ex_sum.get(facility, 0.0)
-        )
-
+    # -- answer check ----------------------------------------------------
     def check_answer(
         self, gd: float
     ) -> Optional[Tuple[PartitionId, float]]:
-        """Prune dominated candidates; return the answer when decided."""
+        """Prune dominated candidates; return the answer when decided.
+
+        Candidate ``n``'s known part is ``settled_base + adj(n) +
+        ex_sum(n)``; it is exact when all ``|U|`` unsettled terms are
+        (``ex_count(n) == |U|``), and its lower bound adds ``Gd`` per
+        unknown term.  Without an exact alive candidate there is no
+        best total to prune against, so the check returns in O(1) from
+        the histogram; otherwise one pass computes every alive
+        candidate's known part and a second splits the competitors
+        into dominated (pruned) and undecided.
+        """
+        unsettled = len(self.unsettled)
+        if not self.level[unsettled]:
+            return None
+        base = self.settled_base
+        adj = self.adj
+        ex_sum = self.ex_sum
+        ex_count = self.ex_count
         best_exact = INFINITY
         best_pid: Optional[PartitionId] = None
+        known = []
         for facility in self.alive:
-            total = self.exact_total(facility)
-            if total is None:
+            total = base + adj.get(facility, 0.0) + ex_sum.get(facility, 0.0)
+            unknown = unsettled - ex_count.get(facility, 0)
+            known.append((facility, total, unknown))
+            if unknown:
                 continue
             if total < best_exact or (
                 total == best_exact
@@ -163,21 +180,19 @@ class _MinDistState:
                 best_pid = facility
         if best_pid is None:
             return None
-        dominated = [
-            facility
-            for facility in self.alive
-            if facility != best_pid
-            and self.lower_bound(facility, gd) > best_exact
-        ]
+        dominated = []
+        undecided = False
+        for facility, total, unknown in known:
+            if facility == best_pid:
+                continue
+            # avoid 0 * inf = nan
+            if total + (unknown * gd if unknown else 0.0) > best_exact:
+                dominated.append(facility)
+            elif unknown:
+                undecided = True
         for facility in dominated:
             self.alive.discard(facility)
-        undecided = [
-            facility
-            for facility in self.alive
-            if facility != best_pid
-            and self.lower_bound(facility, gd) <= best_exact
-            and self.exact_total(facility) is None
-        ]
+            self.level[ex_count.get(facility, 0)] -= 1
         if undecided:
             return None
         # Every surviving competitor is exact; best_pid already minimal.

@@ -3,11 +3,24 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from ..errors import QueryError
 from ..indoor.entities import Client, FacilitySets, PartitionId
 from ..index.distance import VIPDistanceEngine
+
+
+def check_unique_client_ids(clients: Iterable[Client]) -> None:
+    """Raise :class:`QueryError` when two clients share an id.
+
+    Every solver keys its per-client state by ``client_id``, so a
+    repeated id would silently merge two clients into one.
+    """
+    seen = set()
+    for client in clients:
+        if client.client_id in seen:
+            raise QueryError(f"duplicate client id {client.client_id}")
+        seen.add(client.client_id)
 
 
 @dataclass
@@ -38,6 +51,7 @@ class IFLSProblem:
             raise QueryError(
                 f"facility partitions not in venue: {sorted(bad)[:5]!r}"
             )
+        check_unique_client_ids(self.clients)
         for client in self.clients:
             if client.partition_id not in venue_partitions:
                 raise QueryError(

@@ -27,6 +27,7 @@ service maps them to HTTP 400 without guessing.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -35,6 +36,7 @@ from ..errors import ProtocolError, QueryError
 from ..indoor.entities import Client, FacilitySets, PartitionId
 from ..indoor.geometry import Point
 from .efficient import BOTTOM_UP, TOP_DOWN, EfficientOptions
+from .problem import check_unique_client_ids
 from .result import IFLSResult
 
 _OBJECTIVES = ("minmax", "mindist", "maxsum")
@@ -91,11 +93,16 @@ class QueryRequest:
             raise QueryError(f"unknown algorithm {self.algorithm!r}")
         if self.traversal not in (BOTTOM_UP, TOP_DOWN):
             raise QueryError(f"unknown traversal {self.traversal!r}")
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
+        if self.timeout_seconds is not None and not (
+            0 < self.timeout_seconds < math.inf
+        ):
             raise QueryError(
-                f"timeout_seconds must be positive, got "
+                f"timeout_seconds must be positive and finite, got "
                 f"{self.timeout_seconds}"
             )
+        # Checked here as well as by the solvers so the service rejects
+        # the request before it joins (and fails) a coalesced flush.
+        check_unique_client_ids(self.clients)
 
     # ------------------------------------------------------------------
     # Legacy-surface bridges
@@ -271,7 +278,9 @@ class QueryRequest:
         except QueryError as exc:
             # Validation failures are still protocol errors on the wire.
             raise ProtocolError(str(exc)) from exc
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (
+            KeyError, TypeError, ValueError, IndexError, OverflowError
+        ) as exc:
             raise ProtocolError(
                 f"malformed query payload: {exc}"
             ) from exc

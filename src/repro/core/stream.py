@@ -183,7 +183,9 @@ class ClientEvent:
             return cls(kind, client_id, client)
         except QueryError as exc:
             raise ProtocolError(str(exc)) from exc
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (
+            KeyError, TypeError, ValueError, IndexError, OverflowError
+        ) as exc:
             raise ProtocolError(
                 f"malformed event payload: {exc}"
             ) from exc

@@ -14,9 +14,11 @@ partition of the indoor space").
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from ..errors import QueryError
 from .geometry import Point, Rect
 
 PartitionId = int
@@ -144,6 +146,16 @@ class Client:
     client_id: ClientId
     location: Point
     partition_id: PartitionId
+
+    def __post_init__(self) -> None:
+        # Every client is built here (library, wire decoders, streams),
+        # so a NaN/Infinity coordinate never reaches a distance sum.
+        location = self.location
+        if not (math.isfinite(location.x) and math.isfinite(location.y)):
+            raise QueryError(
+                f"client {self.client_id} has a non-finite location "
+                f"({location.x!r}, {location.y!r})"
+            )
 
 
 @dataclass

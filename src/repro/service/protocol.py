@@ -66,7 +66,8 @@ class HttpRequest:
         """The body decoded as JSON (:class:`ProtocolError` on junk)."""
         try:
             return json.loads(self.body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the decoder's stack.
             raise ProtocolError(f"request body is not JSON: {exc}")
 
 
@@ -149,7 +150,7 @@ def parse_stream_open_payload(
             bool(payload.get("incremental", True)),
             str(payload.get("label", "")),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(
             f"malformed stream payload: {exc}"
         ) from exc
