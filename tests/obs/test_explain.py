@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import BatchQuery, IFLSEngine, run_batch_parallel
+from repro import BatchQuery, FacilitySets, IFLSEngine, run_batch_parallel
 from repro.obs import profile as profile_module
 from repro.obs.explain import (
     DISTANCE_COUNTER_KEYS,
@@ -33,6 +33,18 @@ from repro.errors import QueryError
 from ..conftest import build_corridor_venue, facility_split, make_clients
 
 GOLDEN = Path(__file__).parent / "data" / "explain_corridor.txt"
+#: Further pinned renders, keyed ``(query, objective)``: the Section 7
+#: objectives on the corridor query, and every objective on a variant
+#: with no existing facility and one candidate, whose queue runs dry
+#: (pinning the bound samples taken on queue exhaustion).
+EXTRA_GOLDENS = {
+    (query, objective): GOLDEN.with_name(f"explain_{query}_{objective}.txt")
+    for query, objectives in (
+        ("corridor", ("mindist", "maxsum")),
+        ("exhausted", ("minmax", "mindist", "maxsum")),
+    )
+    for objective in objectives
+}
 
 
 @pytest.fixture(scope="module")
@@ -44,17 +56,22 @@ def setup():
     return engine, clients, facilities
 
 
-def _golden_report(setup):
+def _golden_report(setup, objective="minmax", query="corridor"):
     # Pinned to the scalar distance path: kernelized runs report
     # different memo-traffic counters (by design), and the golden must
     # stay byte-stable whether or not numpy/IFLS_USE_KERNELS enable
     # the array kernels.
     engine, clients, facilities = setup
+    if query == "exhausted":
+        facilities = FacilitySets(
+            frozenset(), frozenset({min(facilities.candidates)})
+        )
     scalar = IFLSEngine(
         engine.venue, tree=engine.tree, use_kernels=False
     )
     return scalar.explain(
-        clients, facilities, label="golden", cold=True
+        clients, facilities, objective=objective, label="golden",
+        cold=True,
     )
 
 
@@ -140,6 +157,18 @@ class TestGoldenText:
             "python -m tests.obs.test_explain --regen"
         )
         assert rendered + "\n" == GOLDEN.read_text()
+
+    @pytest.mark.parametrize("query, objective", list(EXTRA_GOLDENS))
+    def test_more_text_trees_match_golden(self, setup, query, objective):
+        golden = EXTRA_GOLDENS[query, objective]
+        rendered = _golden_report(setup, objective, query).describe(
+            timings=False
+        )
+        assert golden.is_file(), (
+            "golden file missing; regenerate with PYTHONPATH=src "
+            "python -m tests.obs.test_explain --regen"
+        )
+        assert rendered + "\n" == golden.read_text()
 
     def test_timings_mode_adds_wall_times(self, setup):
         rendered = _golden_report(setup).describe(timings=True)
@@ -285,12 +314,14 @@ if __name__ == "__main__":
             "--regen"
         )
     venue, room_ids, _ = build_corridor_venue(rooms=12)
-    engine = IFLSEngine(venue, use_kernels=False)
+    engine = IFLSEngine(venue)
     clients = make_clients(venue, 30, seed=5)
     facilities = facility_split(room_ids, 2, 4)
-    report = engine.explain(
-        clients, facilities, label="golden", cold=True
-    )
+    goldens = {("corridor", "minmax"): GOLDEN, **EXTRA_GOLDENS}
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN.write_text(report.describe(timings=False) + "\n")
-    print(f"wrote {GOLDEN}")
+    for (query, objective), path in goldens.items():
+        report = _golden_report(
+            (engine, clients, facilities), objective, query
+        )
+        path.write_text(report.describe(timings=False) + "\n")
+        print(f"wrote {path}")
