@@ -112,7 +112,7 @@ from .obs import (
     observe,
 )
 
-__version__ = "1.9.1"
+__version__ = "1.9.2"
 
 __all__ = [
     "BACKENDS",

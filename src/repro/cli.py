@@ -38,7 +38,7 @@ from typing import List, Optional
 
 from .bench.runner import ALL_EXPERIMENTS, run_all, run_experiment
 from .bench.experiments import SCALES, current_scale, default_fe, default_fn
-from .core.queries import IFLSEngine
+from .core.queries import MINMAX, OBJECTIVES, IFLSEngine
 from .datasets.venues import EXPECTED_STATS, VENUE_NAMES, venue_by_name
 from .datasets.workloads import workload
 
@@ -634,8 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("efficient", "baseline", "bruteforce"),
                        default="efficient")
     query.add_argument("--objective",
-                       choices=("minmax", "mindist", "maxsum"),
-                       default="minmax")
+                       choices=OBJECTIVES,
+                       default=MINMAX)
     query.add_argument("--batch", type=int, default=1,
                        help="answer N fresh-workload queries through "
                             "one warm QuerySession")
@@ -679,8 +679,8 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("efficient", "baseline"),
                          default="efficient")
     explain.add_argument("--objective",
-                         choices=("minmax", "mindist", "maxsum"),
-                         default="minmax")
+                         choices=OBJECTIVES,
+                         default=MINMAX)
     explain.add_argument("--bound-samples", type=int, default=512,
                          help="max Lemma 5.1 bound-evolution samples "
                               "kept (ends always survive)")
@@ -847,8 +847,8 @@ def build_parser() -> argparse.ArgumentParser:
     topk.add_argument("--candidates", type=int, default=0)
     topk.add_argument("--seed", type=int, default=0)
     topk.add_argument("--objective",
-                      choices=("minmax", "mindist", "maxsum"),
-                      default="minmax")
+                      choices=OBJECTIVES,
+                      default=MINMAX)
     topk.set_defaults(fn=_cmd_topk)
 
     route = sub.add_parser(

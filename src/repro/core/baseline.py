@@ -29,17 +29,16 @@ existing facilities are normalised to ``NO_IMPROVEMENT``.
 from __future__ import annotations
 
 import math
-import time
-import tracemalloc
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import UnreachableFacilityError
 from ..indoor.entities import Client, PartitionId
 from ..index.search import FacilitySearch
 from ..obs import trace as _trace
+from .efficient import measured_query
 from .problem import IFLSProblem
 from .result import IFLSResult, ResultStatus
-from .stats import QueryStats, publish_query_metrics
+from .stats import QueryStats
 
 INFINITY = float("inf")
 
@@ -48,32 +47,17 @@ def modified_minmax(
     problem: IFLSProblem, measure_memory: bool = False
 ) -> IFLSResult:
     """Answer a MinMax IFLS query with the modified MinMax baseline."""
-    stats = QueryStats(
-        algorithm="baseline-minmax", clients_total=len(problem.clients)
+    return measured_query(
+        "baseline",
+        "minmax",
+        problem,
+        measure_memory,
+        lambda stats: _run(problem, stats),
     )
-    started = time.perf_counter()
-    if measure_memory:
-        tracemalloc.start()
-    try:
-        with _trace.span(
-            "query.baseline.minmax",
-            stats=problem.engine.stats,
-            clients=len(problem.clients),
-        ):
-            result = _run(problem, stats)
-    finally:
-        if measure_memory:
-            _, peak = tracemalloc.get_traced_memory()
-            stats.peak_memory_bytes = peak
-            tracemalloc.stop()
-    stats.elapsed_seconds = time.perf_counter() - started
-    publish_query_metrics(result)
-    return result
 
 
 def _run(problem: IFLSProblem, stats: QueryStats) -> IFLSResult:
     engine = problem.engine
-    before = engine.stats.snapshot()
 
     # Step 1: nearest existing facility for every client, sorted desc.
     with _trace.span("baseline.nearest_existing", stats=engine.stats):
@@ -104,7 +88,6 @@ def _run(problem: IFLSProblem, stats: QueryStats) -> IFLSResult:
 
         if not maxd:
             # No candidate improves the worst client: no improvement.
-            _merge_engine_stats(engine, before, stats)
             return IFLSResult(
                 answer=None,
                 objective=_exact_objective(
@@ -144,7 +127,6 @@ def _run(problem: IFLSProblem, stats: QueryStats) -> IFLSResult:
             problem, sorted_clients, answer, considered,
             known=pool[answer],
         )
-        _merge_engine_stats(engine, before, stats)
         no_new = _exact_objective(problem, sorted_clients, None, 0)
     if objective >= no_new:
         return IFLSResult(
@@ -200,11 +182,3 @@ def _exact_objective(
         value = max(value, sorted_clients[0][0])
     return value
 
-
-def _merge_engine_stats(engine, before: Dict[str, int], stats: QueryStats):
-    after = engine.stats.snapshot()
-    for key, value in after.items():
-        delta = value - before.get(key, 0)
-        setattr(
-            stats.distance, key, getattr(stats.distance, key, 0) + delta
-        )

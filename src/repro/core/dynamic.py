@@ -23,18 +23,10 @@ from typing import Dict, Iterable, List, Optional
 from ..errors import QueryError
 from ..indoor.entities import Client, FacilitySets, PartitionId
 from ..index.search import FacilitySearch
-from .efficient import EfficientOptions, efficient_minmax
-from .maxsum import efficient_maxsum
-from .mindist import efficient_mindist
+from .efficient import EfficientOptions
 from .problem import IFLSProblem
-from .queries import MAXSUM, MINDIST, MINMAX, IFLSEngine
+from .queries import EFFICIENT_SOLVERS, MINMAX, IFLSEngine
 from .result import IFLSResult
-
-_SOLVERS = {
-    MINMAX: efficient_minmax,
-    MINDIST: efficient_mindist,
-    MAXSUM: efficient_maxsum,
-}
 
 
 class DynamicIFLSSession:
@@ -47,7 +39,7 @@ class DynamicIFLSSession:
         objective: str = MINMAX,
         options: Optional[EfficientOptions] = None,
     ) -> None:
-        if objective not in _SOLVERS:
+        if objective not in EFFICIENT_SOLVERS:
             raise QueryError(f"unknown objective {objective!r}")
         if not facilities.candidates:
             raise QueryError("dynamic session requires candidates Fn")
@@ -161,6 +153,6 @@ class DynamicIFLSSession:
         problem = IFLSProblem(
             self.engine.distances, self.clients, self.facilities
         )
-        result = _SOLVERS[self.objective](problem, self.options)
+        result = EFFICIENT_SOLVERS[self.objective](problem, self.options)
         self.answers_computed += 1
         return result

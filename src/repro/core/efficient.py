@@ -22,8 +22,15 @@ entries, so a client pruned *at* the optimum never blocks the
 no-improvement detection; this makes the result semantics exactly match
 the brute-force oracle (see DESIGN.md, "Result semantics").
 
-:class:`FacilityStream` — the traversal itself — is shared with the
-MinDist and MaxSum extensions (Section 7).
+Only the answer check depends on the objective (paper Section 7).  One
+driver, :func:`run_efficient`, runs the pre-phase, the
+:class:`FacilityStream` traversal, ``Gd`` and the Lemma 5.1 group
+pruning for MinMax, MinDist and MaxSum alike; each objective supplies
+only its bookkeeping behind the :class:`ObjectiveState` protocol
+(:class:`_MinMaxState` here, the other two in :mod:`repro.core.mindist`
+and :mod:`repro.core.maxsum`).  :func:`measured_query` is the timing,
+memory, span and metrics wrapper every efficient objective and the
+baseline answer through.
 """
 
 from __future__ import annotations
@@ -33,7 +40,16 @@ import itertools
 import time
 import tracemalloc
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Set,
+    Tuple,
+)
 
 from ..errors import QueryError, UnreachableFacilityError
 from ..indoor.entities import Client, PartitionId
@@ -333,6 +349,47 @@ class FacilityStream:
         return key, []
 
 
+#: A decided query in an objective's own terms: the answer (``None``
+#: for no improvement) and the objective value.
+Decision = Tuple[Optional[PartitionId], float]
+
+
+class ObjectiveState(Protocol):
+    """One objective's bookkeeping, as :func:`run_efficient` drives it."""
+
+    #: Clients the last :meth:`step` settled (nearest existing facility
+    #: within ``Gd``, Lemma 5.1).  The driver prunes them from their
+    #: traversal groups and clears the list before the next dequeue.
+    newly_settled: List[int]
+
+    def record(
+        self,
+        client_id: int,
+        facility: PartitionId,
+        dist: float,
+        is_existing: bool,
+    ) -> None:
+        """Take one retrieved client-facility distance."""
+
+    def step(self, gd: float) -> Optional[Decision]:
+        """Absorb what ``Gd`` proves; the decision once there is one."""
+
+    def exhausted(self) -> Optional[Decision]:
+        """The last step, once the queue has run dry."""
+
+    def split(self) -> Tuple[int, int]:
+        """Retained and pruned clients (explain samples, the stats)."""
+
+    def closing_bound(self, exhausted: bool) -> Optional[float]:
+        """The bound of one more explain sample after the loop, if any."""
+
+    def finish(
+        self, decision: Optional[Decision], stats: QueryStats
+    ) -> Decision:
+        """The result's answer (``None``: no improvement) and objective;
+        raises :class:`UnreachableFacilityError` for no decision."""
+
+
 class _MinMaxState:
     """Bookkeeping for ``checkList`` / ``checkAnswer`` / ``prune``.
 
@@ -355,9 +412,11 @@ class _MinMaxState:
             c.client_id: c for c in clients
         }
         self.pruned: Set[int] = set()
+        self.newly_settled: List[int] = []
         self.flagged: Set[int] = set()
         self.kept_count = len(self.clients)
         self.first_uncovered = len(self.clients)
+        self.is_first = False
         self.cover_count: Dict[PartitionId, int] = {}
         self.covered_by: Dict[int, List[PartitionId]] = {}
         self.cover_heap: List[Tuple[int, PartitionId]] = []
@@ -367,18 +426,16 @@ class _MinMaxState:
     # -- recording -----------------------------------------------------
     def record(
         self,
-        client: Client,
+        client_id: int,
         facility: PartitionId,
         dist: float,
         is_existing: bool,
     ) -> None:
-        if client.client_id in self.pruned:
+        if client_id in self.pruned:
             return
         kind = _KIND_EXISTING if is_existing else _KIND_CANDIDATE
-        heapq.heappush(
-            self.pending, (dist, kind, client.client_id, facility)
-        )
-        heapq.heappush(self.first_heap, (dist, client.client_id))
+        heapq.heappush(self.pending, (dist, kind, client_id, facility))
+        heapq.heappush(self.first_heap, (dist, client_id))
 
     # -- checkList -----------------------------------------------------
     def update_first(self, gd: float) -> bool:
@@ -411,6 +468,7 @@ class _MinMaxState:
 
     def _prune(self, client_id: int, de: float) -> None:
         self.pruned.add(client_id)
+        self.newly_settled.append(client_id)
         self.kept_count -= 1
         if de > self.max_pruned_de:
             self.max_pruned_de = de
@@ -440,34 +498,64 @@ class _MinMaxState:
             )
         return None
 
+    # -- the driver's protocol -----------------------------------------
+    def step(self, gd: float) -> Optional[Decision]:
+        """``checkList``, then absorb the pending entries up to ``Gd``.
+
+        While ``isFirst`` is false no answer can exist below ``Gd`` (some
+        client has no facility within ``Gd``), so entries are absorbed
+        without answer checks — the paper's Lines 26–28.  Once true, the
+        paper's ``increaseDist`` loop applies: one entry at a time with a
+        ``checkAnswer`` after each (Lines 30–37).
+        """
+        if not self.is_first:
+            self.is_first = self.update_first(gd)
+        is_first = self.is_first
+        pending = self.pending
+        while pending and pending[0][0] <= gd:
+            self.absorb(*heapq.heappop(pending))
+            if self.kept_count == 0:
+                return None, self.max_pruned_de
+            if is_first:
+                answer = self.full_cover_answer()
+                if answer is not None:
+                    return answer, self.dlow
+        return None
+
+    def exhausted(self) -> Optional[Decision]:
+        """Everything is retrieved: finish the refinement."""
+        self.is_first = True
+        decision = self.step(INFINITY)
+        if decision is None and self.kept_count == 0:
+            return None, self.max_pruned_de
+        return decision
+
+    def split(self) -> Tuple[int, int]:
+        return self.kept_count, len(self.pruned)
+
+    def closing_bound(self, exhausted: bool) -> Optional[float]:
+        """The refinement bound ``dlow`` the query was decided at."""
+        return self.dlow
+
+    def finish(
+        self, decision: Optional[Decision], stats: QueryStats
+    ) -> Decision:
+        if decision is None:
+            raise UnreachableFacilityError(
+                "some clients cannot reach any candidate facility"
+            )
+        stats.candidate_answers_considered = len(self.cover_count)
+        return decision
+
 
 def efficient_minmax(
     problem: IFLSProblem,
     options: Optional[EfficientOptions] = None,
 ) -> IFLSResult:
     """Answer a MinMax IFLS query with the efficient approach."""
-    options = options if options is not None else EfficientOptions()
-    stats = QueryStats(
-        algorithm="efficient-minmax", clients_total=len(problem.clients)
+    return run_efficient(
+        "minmax", problem, options, lambda: _MinMaxState(problem.clients)
     )
-    started = time.perf_counter()
-    if options.measure_memory:
-        tracemalloc.start()
-    try:
-        with _trace.span(
-            "query.efficient.minmax",
-            stats=problem.engine.stats,
-            clients=len(problem.clients),
-        ):
-            result = _run(problem, options, stats)
-    finally:
-        if options.measure_memory:
-            _, peak = tracemalloc.get_traced_memory()
-            stats.peak_memory_bytes = peak
-            tracemalloc.stop()
-    stats.elapsed_seconds = time.perf_counter() - started
-    publish_query_metrics(result)
-    return result
 
 
 def make_groups(
@@ -485,14 +573,83 @@ def make_groups(
     ]
 
 
-def _run(
-    problem: IFLSProblem, options: EfficientOptions, stats: QueryStats
+def measured_query(
+    algorithm: str,
+    objective: str,
+    problem: IFLSProblem,
+    measure_memory: bool,
+    solve: Callable[[QueryStats], IFLSResult],
+) -> IFLSResult:
+    """Run ``solve`` as one measured ``query.<algorithm>.<objective>``.
+
+    The one wrapper around every efficient objective and the baseline:
+    it opens the query span, times the solve (with ``tracemalloc``
+    running when ``measure_memory``), adds the distance engine's
+    counter movement to the result's :class:`QueryStats`, and publishes
+    the query metrics.
+    """
+    engine = problem.engine
+    stats = QueryStats(
+        algorithm=f"{algorithm}-{objective}",
+        clients_total=len(problem.clients),
+    )
+    started = time.perf_counter()
+    before = engine.stats.snapshot()
+    if measure_memory:
+        tracemalloc.start()
+    try:
+        with _trace.span(
+            f"query.{algorithm}.{objective}",
+            stats=engine.stats,
+            clients=len(problem.clients),
+        ):
+            result = solve(stats)
+    finally:
+        if measure_memory:
+            _, peak = tracemalloc.get_traced_memory()
+            stats.peak_memory_bytes = peak
+            tracemalloc.stop()
+    stats.add_engine_delta(before, engine.stats.snapshot())
+    stats.elapsed_seconds = time.perf_counter() - started
+    publish_query_metrics(result)
+    return result
+
+
+def run_efficient(
+    objective: str,
+    problem: IFLSProblem,
+    options: Optional[EfficientOptions],
+    new_state: Callable[[], ObjectiveState],
+) -> IFLSResult:
+    """Answer ``problem`` with Algorithms 2–3 for one objective.
+
+    ``new_state`` builds the objective's :class:`ObjectiveState`; it
+    runs inside the measured span, like the rest of the solve.
+    """
+    options = options if options is not None else EfficientOptions()
+    return measured_query(
+        "efficient",
+        objective,
+        problem,
+        options.measure_memory,
+        lambda stats: _solve(new_state(), problem, options, stats),
+    )
+
+
+def _solve(
+    state: ObjectiveState,
+    problem: IFLSProblem,
+    options: EfficientOptions,
+    stats: QueryStats,
 ) -> IFLSResult:
     engine = problem.engine
-    before = engine.stats.snapshot()
     profiler = _profile.active()
     groups = make_groups(problem, options.group_by_partition)
-    state = _MinMaxState(problem.clients)
+    group_of_client = {
+        client.client_id: group
+        for group in groups
+        for client in group.clients
+    }
     stream = FacilityStream(
         engine,
         groups,
@@ -502,34 +659,12 @@ def _run(
         stats=stats,
         use_kernels=options.use_kernels,
     )
-    group_of_client: Dict[int, _Group] = {}
-    for group in groups:
-        for client in group.clients:
-            group_of_client[client.client_id] = group
 
-    def remove_from_group(client_id: int) -> None:
-        if not options.prune_clients:
-            return
-        group = group_of_client.get(client_id)
-        if group is not None:
-            group.prune(client_id)
-
-    def finish(answer: Optional[PartitionId], objective: float):
-        if profiler is not None:
-            profiler.bound_step(
-                state.dlow, state.kept_count, len(state.pruned)
-            )
-        stats.clients_pruned = len(state.pruned)
-        stats.candidate_answers_considered = len(state.cover_count)
-        _merge_engine_stats(engine, before, stats)
-        if answer is None:
-            return IFLSResult(
-                answer=None,
-                objective=objective,
-                status=ResultStatus.NO_IMPROVEMENT,
-                stats=stats,
-            )
-        return IFLSResult(answer=answer, objective=objective, stats=stats)
+    def prune_settled() -> None:
+        if options.prune_clients:
+            for client_id in state.newly_settled:
+                group_of_client[client_id].prune(client_id)
+        state.newly_settled.clear()
 
     # ------------------------------------------------------------------
     # Algorithm 2 pre-phase: clients located inside a facility partition.
@@ -538,83 +673,53 @@ def _run(
         for client in problem.clients:
             pid = client.partition_id
             if pid in problem.existing or pid in problem.candidates:
-                state.record(client, pid, 0.0, pid in problem.existing)
-                stats.facilities_retrieved += 1
-
-        is_first = state.update_first(0.0)
-        outcome = _drain(state, 0.0, is_first, remove_from_group)
-    if profiler is not None:
-        profiler.bound_step(0.0, state.kept_count, len(state.pruned))
-    if outcome is not None:
-        return finish(*outcome)
-
-    # ------------------------------------------------------------------
-    # Algorithm 3 main loop.
-    # ------------------------------------------------------------------
-    with _trace.span("ea.stream", stats=engine.stats):
-        while True:
-            step = stream.advance()
-            if step is None:
-                break
-            gd, records = step
-            for client, facility, dist, is_existing in records:
-                state.record(client, facility, dist, is_existing)
-            if not is_first:
-                is_first = state.update_first(gd)
-            outcome = _drain(state, gd, is_first, remove_from_group)
-            if profiler is not None:
-                profiler.bound_step(
-                    gd, state.kept_count, len(state.pruned)
+                state.record(
+                    client.client_id, pid, 0.0, pid in problem.existing
                 )
-            if outcome is not None:
-                return finish(*outcome)
+                stats.facilities_retrieved += 1
+        decision = state.step(0.0)
+        if state.newly_settled:
+            prune_settled()
+    if profiler is not None:
+        profiler.bound_step(0.0, *state.split())
 
-        # Queue exhausted: everything retrieved; finish refinement.
-        outcome = _drain(state, INFINITY, True, remove_from_group)
-        if outcome is not None:
-            return finish(*outcome)
-        if state.kept_count == 0:
-            return finish(None, state.max_pruned_de)
-    raise UnreachableFacilityError(
-        "some clients cannot reach any candidate facility"
+    # ------------------------------------------------------------------
+    # Algorithm 3 main loop, unless the pre-phase decided the query.
+    # ------------------------------------------------------------------
+    exhausted = False
+    if decision is None:
+        with _trace.span("ea.stream", stats=engine.stats):
+            while decision is None:
+                step = stream.advance()
+                if step is None:
+                    exhausted = True
+                    decision = state.exhausted()
+                    break
+                gd, records = step
+                for client, facility, dist, is_existing in records:
+                    state.record(
+                        client.client_id, facility, dist, is_existing
+                    )
+                decision = state.step(gd)
+                if state.newly_settled:
+                    prune_settled()
+                if profiler is not None:
+                    profiler.bound_step(gd, *state.split())
+    if profiler is not None:
+        closing = state.closing_bound(exhausted)
+        if closing is not None:
+            profiler.bound_step(closing, *state.split())
+    # ``finish`` may raise UnreachableFacilityError: after ``ea.stream``
+    # has closed, so only the query span records the error.
+    answer, objective = state.finish(decision, stats)
+    stats.clients_pruned = state.split()[1]
+    return IFLSResult(
+        answer=answer,
+        objective=objective,
+        status=(
+            ResultStatus.OPTIMAL
+            if answer is not None
+            else ResultStatus.NO_IMPROVEMENT
+        ),
+        stats=stats,
     )
-
-
-def _drain(
-    state: _MinMaxState,
-    gd: float,
-    is_first: bool,
-    remove_from_group,
-) -> Optional[Tuple[Optional[PartitionId], float]]:
-    """Absorb pending entries up to ``Gd``.
-
-    While ``isFirst`` is false no answer can exist below ``Gd`` (some
-    client has no facility within ``Gd``), so entries are absorbed
-    without answer checks — the paper's Lines 26–28.  Once true, the
-    paper's ``increaseDist`` loop applies: one entry at a time with a
-    ``checkAnswer`` after each (Lines 30–37).
-
-    Returns ``(answer, objective)`` when the query is decided.
-    """
-    pending = state.pending
-    while pending and pending[0][0] <= gd:
-        dist, kind, client_id, facility = heapq.heappop(pending)
-        state.absorb(dist, kind, client_id, facility)
-        if kind == _KIND_EXISTING:
-            remove_from_group(client_id)
-        if state.kept_count == 0:
-            return None, state.max_pruned_de
-        if is_first:
-            answer = state.full_cover_answer()
-            if answer is not None:
-                return answer, state.dlow
-    return None
-
-
-def _merge_engine_stats(engine, before: Dict[str, int], stats: QueryStats):
-    after = engine.stats.snapshot()
-    for key, value in after.items():
-        delta = value - before.get(key, 0)
-        setattr(
-            stats.distance, key, getattr(stats.distance, key, 0) + delta
-        )

@@ -2,7 +2,8 @@
 
 The objective becomes the number of clients for whom the new facility
 would be strictly nearer than every existing facility.  The traversal
-and the client settling rule are shared with MinMax/MinDist; candidate
+and the client settling rule are shared with MinMax/MinDist (one driver,
+:func:`repro.core.efficient.run_efficient`, runs all three); candidate
 refinement uses *upper bounds on the win count*, as sketched in the
 paper ("the upper bound of the total count can be used to refine the
 candidate answer set"):
@@ -29,22 +30,18 @@ instead of a scan over ``Fn`` (docs/ALGORITHMS.md, Section 7).
 from __future__ import annotations
 
 import heapq
-import time
-import tracemalloc
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..indoor.entities import PartitionId
-from ..obs import profile as _profile
-from ..obs import trace as _trace
 from .efficient import (
+    INFINITY,
+    Decision,
     EfficientOptions,
-    FacilityStream,
-    _merge_engine_stats,
-    make_groups,
+    run_efficient,
 )
 from .problem import IFLSProblem
-from .result import IFLSResult, ResultStatus
-from .stats import QueryStats, publish_query_metrics
+from .result import IFLSResult
+from .stats import QueryStats
 
 
 class _MaxSumState:
@@ -152,134 +149,48 @@ class _MaxSumState:
         return top, self.wins.get(top, 0)
 
 
+    # -- the driver's protocol -----------------------------------------
+    def step(self, gd: float) -> Optional[Decision]:
+        self.advance(gd)
+        return self.check_answer()
+
+    def exhausted(self) -> Decision:
+        """Everything is retrieved: every count becomes exact."""
+        self.advance(INFINITY)
+        # Remaining unsettled clients have de = inf beyond retrieval:
+        # any recorded candidate strictly wins them.
+        for client_id in list(self.unsettled):
+            self._settle(client_id, INFINITY)
+        answer = self.check_answer()
+        if answer is None:
+            # All counts are exact now; pick the max directly.
+            best = max(
+                self.candidates,
+                key=lambda pid: (self.wins.get(pid, 0), -pid),
+            )
+            answer = (best, self.wins.get(best, 0))
+        return answer
+
+    def split(self) -> Tuple[int, int]:
+        return len(self.unsettled), len(self.settled_de)
+
+    def closing_bound(self, exhausted: bool) -> Optional[float]:
+        """The exhausted queue's final ``Gd``; none otherwise."""
+        return INFINITY if exhausted else None
+
+    def finish(self, decision: Decision, stats: QueryStats) -> Decision:
+        stats.candidate_answers_considered = len(self.candidates)
+        answer, count = decision
+        if count <= 0:
+            return None, 0.0
+        return answer, float(count)
+
+
 def efficient_maxsum(
     problem: IFLSProblem,
     options: Optional[EfficientOptions] = None,
 ) -> IFLSResult:
     """Answer a MaxSum IFLS query (win-count objective)."""
-    options = options if options is not None else EfficientOptions()
-    stats = QueryStats(
-        algorithm="efficient-maxsum", clients_total=len(problem.clients)
-    )
-    started = time.perf_counter()
-    before = problem.engine.stats.snapshot()
-    if options.measure_memory:
-        tracemalloc.start()
-    try:
-        with _trace.span(
-            "query.efficient.maxsum",
-            stats=problem.engine.stats,
-            clients=len(problem.clients),
-        ):
-            result = _run(problem, options, stats)
-    finally:
-        if options.measure_memory:
-            _, peak = tracemalloc.get_traced_memory()
-            stats.peak_memory_bytes = peak
-            tracemalloc.stop()
-    _merge_engine_stats(problem.engine, before, stats)
-    stats.elapsed_seconds = time.perf_counter() - started
-    publish_query_metrics(result)
-    return result
-
-
-def _run(
-    problem: IFLSProblem, options: EfficientOptions, stats: QueryStats
-) -> IFLSResult:
-    profiler = _profile.active()
-    groups = make_groups(problem, options.group_by_partition)
-    state = _MaxSumState(problem)
-    stream = FacilityStream(
-        problem.engine,
-        groups,
-        problem.existing,
-        problem.candidates,
-        traversal=options.traversal,
-        stats=stats,
-        use_kernels=options.use_kernels,
-    )
-
-    group_of_client = {}
-    for group in groups:
-        for client in group.clients:
-            group_of_client[client.client_id] = group
-
-    def settle_prune() -> None:
-        settled = state.newly_settled
-        if not settled:
-            return
-        if options.prune_clients:
-            for client_id in settled:
-                group = group_of_client.get(client_id)
-                if group is not None:
-                    group.prune(client_id)
-        settled.clear()
-
-    with _trace.span("ea.prephase", stats=problem.engine.stats):
-        for client in problem.clients:
-            pid = client.partition_id
-            if pid in problem.existing or pid in problem.candidates:
-                state.record(
-                    client.client_id, pid, 0.0, pid in problem.existing
-                )
-                stats.facilities_retrieved += 1
-        state.advance(0.0)
-        settle_prune()
-        answer = state.check_answer()
-    if profiler is not None:
-        profiler.bound_step(
-            0.0, len(state.unsettled), len(state.settled_de)
-        )
-
-    with _trace.span("ea.stream", stats=problem.engine.stats):
-        while answer is None:
-            step = stream.advance()
-            if step is None:
-                break
-            gd, records = step
-            for client, facility, dist, is_existing in records:
-                state.record(
-                    client.client_id, facility, dist, is_existing
-                )
-            state.advance(gd)
-            settle_prune()
-            answer = state.check_answer()
-            if profiler is not None:
-                profiler.bound_step(
-                    gd, len(state.unsettled), len(state.settled_de)
-                )
-
-        if answer is None:
-            # Queue exhausted: every surviving pair is now decidable.
-            state.advance(float("inf"))
-            # Remaining unsettled clients have de = inf beyond
-            # retrieval: any recorded candidate strictly wins them.
-            for client_id in list(state.unsettled):
-                state._settle(client_id, float("inf"))
-            answer = state.check_answer()
-            if profiler is not None:
-                profiler.bound_step(
-                    float("inf"),
-                    len(state.unsettled),
-                    len(state.settled_de),
-                )
-    stats.clients_pruned = len(state.settled_de)
-    stats.candidate_answers_considered = len(state.candidates)
-    if answer is None:
-        # All counts are exact now; pick the max directly.
-        best = max(
-            state.candidates,
-            key=lambda pid: (state.wins.get(pid, 0), -pid),
-        )
-        answer = (best, state.wins.get(best, 0))
-    answer_pid, count = answer
-    if count <= 0:
-        return IFLSResult(
-            answer=None,
-            objective=0.0,
-            status=ResultStatus.NO_IMPROVEMENT,
-            stats=stats,
-        )
-    return IFLSResult(
-        answer=answer_pid, objective=float(count), stats=stats
+    return run_efficient(
+        "maxsum", problem, options, lambda: _MaxSumState(problem)
     )

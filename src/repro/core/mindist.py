@@ -3,8 +3,10 @@
 The optimisation target changes from the maximum to the *total* (=
 average x |C|) distance of the clients to their nearest facility; the
 traversal, the global distance ``Gd``, and the Lemma 5.1 client pruning
-stay exactly as in the MinMax algorithm.  What changes is how candidate
-answers are generated and checked:
+stay exactly as in the MinMax algorithm — the same driver,
+:func:`repro.core.efficient.run_efficient`, runs them for
+:class:`_MinDistState`.  What changes is how candidate answers are
+generated and checked:
 
 * every candidate keeps a running *total distance*, initialised as a
   lower bound and refined as facilities are retrieved;
@@ -29,25 +31,19 @@ scan (and prune) the alive set.
 from __future__ import annotations
 
 import heapq
-import time
-import tracemalloc
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import UnreachableFacilityError
 from ..indoor.entities import PartitionId
-from ..obs import profile as _profile
-from ..obs import trace as _trace
 from .efficient import (
+    INFINITY,
+    Decision,
     EfficientOptions,
-    FacilityStream,
-    _merge_engine_stats,
-    make_groups,
+    run_efficient,
 )
 from .problem import IFLSProblem
-from .result import IFLSResult, ResultStatus
-from .stats import QueryStats, publish_query_metrics
-
-INFINITY = float("inf")
+from .result import IFLSResult
+from .stats import QueryStats
 
 
 class _MinDistState:
@@ -199,130 +195,44 @@ class _MinDistState:
         return best_pid, best_exact
 
 
+    # -- the driver's protocol -----------------------------------------
+    def step(self, gd: float) -> Optional[Decision]:
+        self.advance(gd)
+        return self.check_answer(gd)
+
+    def exhausted(self) -> Optional[Decision]:
+        """Everything is retrieved: every term becomes exact."""
+        return self.step(INFINITY)
+
+    def split(self) -> Tuple[int, int]:
+        return len(self.unsettled), len(self.settled_de)
+
+    def closing_bound(self, exhausted: bool) -> Optional[float]:
+        """The exhausted queue's final ``Gd``; none otherwise."""
+        return INFINITY if exhausted else None
+
+    def finish(
+        self, decision: Optional[Decision], stats: QueryStats
+    ) -> Decision:
+        stats.candidate_answers_considered = len(self.alive)
+        if decision is None:
+            if self.unsettled:
+                raise UnreachableFacilityError(
+                    "some clients cannot reach any facility"
+                )
+            raise UnreachableFacilityError(
+                "MinDist refinement failed to converge"
+            )
+        if not self.unsettled and decision[1] >= self.settled_base:
+            return None, self.settled_base
+        return decision
+
+
 def efficient_mindist(
     problem: IFLSProblem,
     options: Optional[EfficientOptions] = None,
 ) -> IFLSResult:
     """Answer a MinDist IFLS query (total-distance objective)."""
-    options = options if options is not None else EfficientOptions()
-    stats = QueryStats(
-        algorithm="efficient-mindist", clients_total=len(problem.clients)
+    return run_efficient(
+        "mindist", problem, options, lambda: _MinDistState(problem)
     )
-    started = time.perf_counter()
-    before = problem.engine.stats.snapshot()
-    if options.measure_memory:
-        tracemalloc.start()
-    try:
-        with _trace.span(
-            "query.efficient.mindist",
-            stats=problem.engine.stats,
-            clients=len(problem.clients),
-        ):
-            result = _run(problem, options, stats)
-    finally:
-        if options.measure_memory:
-            _, peak = tracemalloc.get_traced_memory()
-            stats.peak_memory_bytes = peak
-            tracemalloc.stop()
-    _merge_engine_stats(problem.engine, before, stats)
-    stats.elapsed_seconds = time.perf_counter() - started
-    publish_query_metrics(result)
-    return result
-
-
-def _run(
-    problem: IFLSProblem, options: EfficientOptions, stats: QueryStats
-) -> IFLSResult:
-    profiler = _profile.active()
-    groups = make_groups(problem, options.group_by_partition)
-    state = _MinDistState(problem)
-    stream = FacilityStream(
-        problem.engine,
-        groups,
-        problem.existing,
-        problem.candidates,
-        traversal=options.traversal,
-        stats=stats,
-        use_kernels=options.use_kernels,
-    )
-    group_of_client = {}
-    for group in groups:
-        for client in group.clients:
-            group_of_client[client.client_id] = group
-
-    def settle_prune() -> None:
-        settled = state.newly_settled
-        if not settled:
-            return
-        if options.prune_clients:
-            for client_id in settled:
-                group = group_of_client.get(client_id)
-                if group is not None:
-                    group.prune(client_id)
-        settled.clear()
-
-    # Pre-phase: clients inside facility partitions.
-    with _trace.span("ea.prephase", stats=problem.engine.stats):
-        for client in problem.clients:
-            pid = client.partition_id
-            if pid in problem.existing or pid in problem.candidates:
-                state.record(
-                    client.client_id, pid, 0.0, pid in problem.existing
-                )
-                stats.facilities_retrieved += 1
-        state.advance(0.0)
-        settle_prune()
-        answer = state.check_answer(0.0)
-    if profiler is not None:
-        profiler.bound_step(
-            0.0, len(state.unsettled), len(state.settled_de)
-        )
-
-    with _trace.span("ea.stream", stats=problem.engine.stats):
-        gd = 0.0
-        while answer is None:
-            step = stream.advance()
-            if step is None:
-                break
-            gd, records = step
-            for client, facility, dist, is_existing in records:
-                state.record(
-                    client.client_id, facility, dist, is_existing
-                )
-            state.advance(gd)
-            settle_prune()
-            answer = state.check_answer(gd)
-            if profiler is not None:
-                profiler.bound_step(
-                    gd, len(state.unsettled), len(state.settled_de)
-                )
-
-        if answer is None:
-            # Queue exhausted: all retrieved; every term becomes exact.
-            state.advance(INFINITY)
-            answer = state.check_answer(INFINITY)
-            if profiler is not None:
-                profiler.bound_step(
-                    INFINITY,
-                    len(state.unsettled),
-                    len(state.settled_de),
-                )
-    stats.clients_pruned = len(state.settled_de)
-    stats.candidate_answers_considered = len(state.alive)
-    if answer is None:
-        if state.unsettled:
-            raise UnreachableFacilityError(
-                "some clients cannot reach any facility"
-            )
-        raise UnreachableFacilityError(
-            "MinDist refinement failed to converge"
-        )
-    answer_pid, total = answer
-    if not state.unsettled and total >= state.settled_base:
-        return IFLSResult(
-            answer=None,
-            objective=state.settled_base,
-            status=ResultStatus.NO_IMPROVEMENT,
-            stats=stats,
-        )
-    return IFLSResult(answer=answer_pid, objective=total, stats=stats)

@@ -40,11 +40,19 @@ MINMAX = "minmax"
 MINDIST = "mindist"
 MAXSUM = "maxsum"
 
+#: The objective table: each objective's efficient solver.  Every
+#: objective check and efficient dispatch in the library reads it.
+EFFICIENT_SOLVERS = {
+    MINMAX: efficient_minmax,
+    MINDIST: efficient_mindist,
+    MAXSUM: efficient_maxsum,
+}
+OBJECTIVES = tuple(EFFICIENT_SOLVERS)
+
 EFFICIENT = "efficient"
 BASELINE = "baseline"
 BRUTE_FORCE = "bruteforce"
 
-_OBJECTIVES = (MINMAX, MINDIST, MAXSUM)
 _ALGORITHMS = (EFFICIENT, BASELINE, BRUTE_FORCE)
 
 
@@ -127,7 +135,7 @@ class IFLSEngine:
             client separately); used by the benchmark harness so
             measurements are independent and fair.
         """
-        if objective not in _OBJECTIVES:
+        if objective not in OBJECTIVES:
             raise QueryError(f"unknown objective {objective!r}")
         if algorithm not in _ALGORITHMS:
             raise QueryError(f"unknown algorithm {algorithm!r}")
@@ -177,12 +185,7 @@ class IFLSEngine:
                 measure_memory=True,
                 use_kernels=options.use_kernels,
             )
-        dispatch = {
-            MINMAX: efficient_minmax,
-            MINDIST: efficient_mindist,
-            MAXSUM: efficient_maxsum,
-        }
-        return dispatch[objective](problem, options)
+        return EFFICIENT_SOLVERS[objective](problem, options)
 
     def explain(
         self,
@@ -223,7 +226,7 @@ class IFLSEngine:
         from ..obs.profile import ProfileCollector
         from ..obs.trace import Tracer
 
-        if objective not in _OBJECTIVES:
+        if objective not in OBJECTIVES:
             raise QueryError(f"unknown objective {objective!r}")
         if algorithm not in (EFFICIENT, BASELINE):
             raise QueryError(
@@ -257,12 +260,9 @@ class IFLSEngine:
                 if algorithm == BASELINE:
                     result = modified_minmax(problem)
                 else:
-                    dispatch = {
-                        MINMAX: efficient_minmax,
-                        MINDIST: efficient_mindist,
-                        MAXSUM: efficient_maxsum,
-                    }
-                    result = dispatch[objective](problem, options)
+                    result = EFFICIENT_SOLVERS[objective](
+                        problem, options
+                    )
         if outer is not None:
             outer.absorb(tracer.sorted_records())
         after = distances.stats.snapshot()

@@ -37,9 +37,9 @@ from ..indoor.entities import Client, FacilitySets, PartitionId
 from ..indoor.geometry import Point
 from .efficient import BOTTOM_UP, TOP_DOWN, EfficientOptions
 from .problem import check_unique_client_ids
+from .queries import MINMAX, OBJECTIVES
 from .result import IFLSResult
 
-_OBJECTIVES = ("minmax", "mindist", "maxsum")
 _ALGORITHMS = ("efficient", "baseline", "bruteforce")
 
 #: Payload schema tag; bump on incompatible wire changes.
@@ -73,7 +73,7 @@ class QueryRequest:
 
     clients: Tuple[Client, ...]
     facilities: FacilitySets
-    objective: str = "minmax"
+    objective: str = MINMAX
     algorithm: str = "efficient"
     label: str = ""
     prune_clients: bool = True
@@ -87,7 +87,7 @@ class QueryRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "clients", tuple(self.clients))
-        if self.objective not in _OBJECTIVES:
+        if self.objective not in OBJECTIVES:
             raise QueryError(f"unknown objective {self.objective!r}")
         if self.algorithm not in _ALGORITHMS:
             raise QueryError(f"unknown algorithm {self.algorithm!r}")
@@ -135,7 +135,7 @@ class QueryRequest:
         cls,
         clients: Sequence[Client],
         facilities: FacilitySets,
-        objective: str = "minmax",
+        objective: str = MINMAX,
         algorithm: str = "efficient",
         options: Optional[EfficientOptions] = None,
         label: str = "",
@@ -260,7 +260,7 @@ class QueryRequest:
             return cls(
                 clients=clients,
                 facilities=facilities,
-                objective=str(payload.get("objective", "minmax")),
+                objective=str(payload.get("objective", MINMAX)),
                 algorithm=str(payload.get("algorithm", "efficient")),
                 label=str(payload.get("label", "")),
                 prune_clients=bool(payload.get("prune_clients", True)),
@@ -299,7 +299,7 @@ class QueryResponse:
     answer: Optional[PartitionId]
     objective_value: float
     status: str
-    objective: str = "minmax"
+    objective: str = MINMAX
     label: str = ""
     elapsed_seconds: float = 0.0
     index: Optional[int] = None
@@ -327,7 +327,7 @@ class QueryResponse:
             answer=result.answer,
             objective_value=result.objective,
             status=str(result.status),
-            objective=request.objective if request else "minmax",
+            objective=request.objective if request else MINMAX,
             label=request.label if request else "",
             elapsed_seconds=elapsed_seconds,
             index=index,
@@ -372,7 +372,7 @@ class QueryResponse:
                 answer=int(answer) if answer is not None else None,
                 objective_value=float(payload["objective_value"]),
                 status=str(payload["status"]),
-                objective=str(payload.get("objective", "minmax")),
+                objective=str(payload.get("objective", MINMAX)),
                 label=str(payload.get("label", "")),
                 elapsed_seconds=float(
                     payload.get("elapsed_seconds", 0.0)

@@ -46,18 +46,10 @@ from ..obs.explain import ExplainReport, build_report
 from ..obs.metrics import MetricsRegistry
 from ..obs.profile import ProfileCollector
 from ..obs.trace import Tracer
-from .efficient import EfficientOptions, efficient_minmax
-from .maxsum import efficient_maxsum
-from .mindist import efficient_mindist
+from .efficient import EfficientOptions
 from .problem import IFLSProblem
-from .queries import MAXSUM, MINDIST, MINMAX, IFLSEngine
+from .queries import EFFICIENT_SOLVERS, MINMAX, IFLSEngine
 from .result import IFLSResult
-
-_SOLVERS = {
-    MINMAX: efficient_minmax,
-    MINDIST: efficient_mindist,
-    MAXSUM: efficient_maxsum,
-}
 
 
 @dataclass(frozen=True)
@@ -77,7 +69,7 @@ class BatchQuery:
     request_id: str = ""
 
     def __post_init__(self) -> None:
-        if self.objective not in _SOLVERS:
+        if self.objective not in EFFICIENT_SOLVERS:
             raise QueryError(f"unknown objective {self.objective!r}")
         # Accept any sequence of clients; store an immutable tuple.
         object.__setattr__(self, "clients", tuple(self.clients))
@@ -291,7 +283,7 @@ class QuerySession:
         them with whatever minted the id (the service or
         ``Engine.query``).
         """
-        solver = _SOLVERS.get(objective)
+        solver = EFFICIENT_SOLVERS.get(objective)
         if solver is None:
             raise QueryError(f"unknown objective {objective!r}")
         problem = IFLSProblem(self.distances, list(clients), facilities)

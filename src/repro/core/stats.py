@@ -79,6 +79,19 @@ class QueryStats:
         )
         self.distance.merge(other.distance)
 
+    def add_engine_delta(
+        self, before: Mapping[str, int], after: Mapping[str, int]
+    ) -> None:
+        """Add the distance-engine counter movement between two
+        ``engine.stats.snapshot()`` readings to :attr:`distance`."""
+        for key, value in after.items():
+            delta = value - before.get(key, 0)
+            setattr(
+                self.distance,
+                key,
+                getattr(self.distance, key, 0) + delta,
+            )
+
     def snapshot(self) -> Dict[str, float]:
         """Flat dictionary for reporting (bench harness rows)."""
         out: Dict[str, float] = {

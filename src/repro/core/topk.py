@@ -28,7 +28,7 @@ from typing import List, Tuple
 from ..errors import QueryError
 from ..index.search import FacilitySearch
 from .problem import IFLSProblem
-from .queries import MAXSUM, MINDIST, MINMAX
+from .queries import MAXSUM, MINDIST, MINMAX, OBJECTIVES
 
 INFINITY = float("inf")
 
@@ -87,7 +87,7 @@ def top_k_ifls(
     """
     if k < 1:
         raise QueryError(f"k must be >= 1, got {k}")
-    if objective not in (MINMAX, MINDIST, MAXSUM):
+    if objective not in OBJECTIVES:
         raise QueryError(f"unknown objective {objective!r}")
     de = _existing_distances(problem)
     order = _ordered_candidates(problem, de)

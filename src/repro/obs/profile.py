@@ -6,19 +6,20 @@ paid*.  What neither can show is the **inside** of the efficient
 solver: how the Lemma 5.1 global bound ``Gd`` grew, when clients were
 pruned versus retained, and which VIP-tree levels the traversal
 actually touched.  :class:`ProfileCollector` records exactly that,
-fed by two tiny hook points inside :mod:`repro.core.efficient` (and
-the MinDist/MaxSum variants that share its traversal):
+fed by two tiny hook points in :mod:`repro.core.efficient`, whose one
+driver answers MinMax, MinDist and MaxSum alike:
 
-* :meth:`ProfileCollector.bound_step` — one sample per solver round:
-  the current global bound and the retained/pruned client split.
-  Consecutive rounds that change nothing are collapsed, and the
-  sample list is bounded (``bound_limit``); when full, the *last*
-  slot keeps being overwritten so the final state always survives and
+* :meth:`ProfileCollector.bound_step` — one sample per solver round,
+  taken by the driver: the current global bound and the
+  retained/pruned client split.  Consecutive rounds that change
+  nothing are collapsed, and the sample list is bounded
+  (``bound_limit``); when full, the *last* slot keeps being
+  overwritten so the final state always survives and
   ``bound_steps_dropped`` says how much of the middle was thinned.
 * :meth:`ProfileCollector.node_visit` — one call per VIP-tree node
-  expansion, keyed by tree depth, also summing the expanded node's
-  access-door count (the width of the matrix rows the expansion may
-  touch).
+  expansion by the traversal, keyed by tree depth, also summing the
+  expanded node's access-door count (the width of the matrix rows the
+  expansion may touch).
 
 Enablement mirrors :mod:`repro.obs.trace`: a process-global collector
 plus :func:`install` / :func:`uninstall` / :func:`active` /

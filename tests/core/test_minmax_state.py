@@ -20,23 +20,23 @@ def clients(n):
 class TestCheckList:
     def test_is_first_requires_every_client(self):
         state = _MinMaxState(clients(2))
-        state.record(clients(2)[0], 100, 1.0, False)
+        state.record(clients(2)[0].client_id, 100, 1.0, False)
         assert not state.update_first(1.0)  # client 1 has nothing
-        state.record(clients(2)[1], 100, 2.0, False)
+        state.record(clients(2)[1].client_id, 100, 2.0, False)
         assert not state.update_first(1.5)  # 2.0 > Gd
         assert state.update_first(2.0)
 
     def test_pruned_clients_do_not_block_is_first(self):
         cs = clients(2)
         state = _MinMaxState(cs)
-        state.record(cs[0], 200, 0.5, True)  # existing for client 0
+        state.record(cs[0].client_id, 200, 0.5, True)  # existing for client 0
         # Absorb the existing entry: client 0 pruned.
         import heapq
 
         dist, kind, cid, fac = heapq.heappop(state.pending)
         state.absorb(dist, kind, cid, fac)
         assert state.kept_count == 1
-        state.record(cs[1], 100, 1.0, False)
+        state.record(cs[1].client_id, 100, 1.0, False)
         assert state.update_first(1.0)
 
 
@@ -89,8 +89,8 @@ class TestRecordOrdering:
     def test_existing_sorts_before_candidate_at_equal_distance(self):
         cs = clients(1)
         state = _MinMaxState(cs)
-        state.record(cs[0], 77, 5.0, False)
-        state.record(cs[0], 50, 5.0, True)
+        state.record(cs[0].client_id, 77, 5.0, False)
+        state.record(cs[0].client_id, 50, 5.0, True)
         first = state.pending[0]
         assert first[1] == _KIND_EXISTING
 
@@ -98,5 +98,5 @@ class TestRecordOrdering:
         cs = clients(1)
         state = _MinMaxState(cs)
         state.absorb(0.0, _KIND_EXISTING, 0, 50)
-        state.record(cs[0], 77, 1.0, False)
+        state.record(cs[0].client_id, 77, 1.0, False)
         assert not state.pending

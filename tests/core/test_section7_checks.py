@@ -195,8 +195,7 @@ def oracle(monkeypatch):
 
     monkeypatch.setattr(mindist, "_MinDistState", MinDistProbe)
     monkeypatch.setattr(maxsum, "_MaxSumState", MaxSumProbe)
-    monkeypatch.setattr(mindist, "FacilityStream", StreamProbe)
-    monkeypatch.setattr(maxsum, "FacilityStream", StreamProbe)
+    monkeypatch.setattr(efficient, "FacilityStream", StreamProbe)
     return tally
 
 

@@ -2,8 +2,9 @@
 """Counter-invariant lint: fail fast on statistics drift.
 
 Runs a small canned workload through every algorithm/objective path
-(efficient minmax/mindist/maxsum, the baseline, ablation variants, and
-a warm :class:`QuerySession` with and without an eviction budget) and
+(efficient minmax/mindist/maxsum, each also under the no-prune,
+no-group and top-down ablations, the baseline, and a warm
+:class:`QuerySession` with and without an eviction budget) and
 asserts the structural invariants of :class:`QueryStats` /
 :class:`DistanceStats`:
 
@@ -16,6 +17,11 @@ asserts the structural invariants of :class:`QueryStats` /
   == imind_calls + imind_node_calls``;
 * ``single_door_shortcuts <= idist_calls``;
 * ``clients_pruned <= clients_total``; no counter is negative;
+* lazy group compaction only consumes real prunes:
+  ``group_compactions <= clients_pruned`` and
+  ``group_compaction_cost <= 2 * clients_pruned`` (a compaction runs
+  once half a group's list is pruned, and pruning a client twice, or
+  after it was compacted away, would inflate both);
 * a non-memoising engine reports zero cache hits;
 * session totals equal the sum of the per-query deltas;
 * a sharded parallel run returns the serial answers, and its merged
@@ -79,6 +85,7 @@ from repro import (  # noqa: E402
     TOP_DOWN,
 )
 from repro.core.baseline import modified_minmax  # noqa: E402
+from repro.core.queries import OBJECTIVES  # noqa: E402
 from repro.core.problem import IFLSProblem  # noqa: E402
 from repro.datasets import small_office  # noqa: E402
 from repro.datasets.workloads import (  # noqa: E402
@@ -162,6 +169,16 @@ def check_query_stats(label: str, stats: QueryStats) -> List[str]:
         f"clients_pruned {stats.clients_pruned} > "
         f"clients_total {stats.clients_total}",
     )
+    expect(
+        stats.group_compactions <= stats.clients_pruned,
+        f"group_compactions {stats.group_compactions} > "
+        f"clients_pruned {stats.clients_pruned}",
+    )
+    expect(
+        stats.group_compaction_cost <= 2 * stats.clients_pruned,
+        f"group_compaction_cost {stats.group_compaction_cost} > "
+        f"2 * clients_pruned {stats.clients_pruned}",
+    )
     d = stats.distance
     expect(
         d.d2d_cache_hits <= d.d2d_lookups,
@@ -195,20 +212,23 @@ def run_checks() -> List[str]:
     facilities = random_facility_sets(venue, 4, 8, rng)
     clients = uniform_clients(venue, 60, rng)
 
-    # Every efficient objective, plus ablation variants (minmax).
-    for objective in ("minmax", "mindist", "maxsum"):
+    # Every efficient objective, plain and under each ablation.
+    for objective in OBJECTIVES:
         result = engine.query(clients, facilities, objective=objective,
                               cold=True)
         violations += check_query_stats(f"efficient/{objective}",
                                         result.stats)
-    for name, options in (
-        ("no-prune", EfficientOptions(prune_clients=False)),
-        ("no-group", EfficientOptions(group_by_partition=False)),
-        ("top-down", EfficientOptions(traversal=TOP_DOWN)),
-    ):
-        result = engine.query(clients, facilities, options=options,
-                              cold=True)
-        violations += check_query_stats(f"ablation/{name}", result.stats)
+        for name, options in (
+            ("no-prune", EfficientOptions(prune_clients=False)),
+            ("no-group", EfficientOptions(group_by_partition=False)),
+            ("top-down", EfficientOptions(traversal=TOP_DOWN)),
+        ):
+            result = engine.query(clients, facilities,
+                                  objective=objective, options=options,
+                                  cold=True)
+            violations += check_query_stats(
+                f"ablation/{name}/{objective}", result.stats
+            )
 
     # Baseline: same invariants, and never a memo hit.
     distances = VIPDistanceEngine(engine.tree, memoize=False)
@@ -231,7 +251,7 @@ def run_checks() -> List[str]:
                 BatchQuery(
                     uniform_clients(venue, 30, batch_rng),
                     random_facility_sets(venue, 3, 6, batch_rng),
-                    objective=("minmax", "mindist", "maxsum")[i % 3],
+                    objective=OBJECTIVES[i % len(OBJECTIVES)],
                 )
             )
         session.run(batch)
@@ -295,7 +315,7 @@ def run_checks() -> List[str]:
     # EXPLAIN attribution: per-phase own deltas == top-level ledger.
     explain_cases = [
         (f"explain/{objective}", objective, "efficient")
-        for objective in ("minmax", "mindist", "maxsum")
+        for objective in OBJECTIVES
     ] + [("explain/baseline", "minmax", "baseline")]
     for label, objective, algorithm in explain_cases:
         report = engine.explain(
@@ -332,7 +352,7 @@ def run_checks() -> List[str]:
             QueryRequest(
                 clients=tuple(uniform_clients(venue, 25, pool_rng)),
                 facilities=random_facility_sets(venue, 3, 6, pool_rng),
-                objective=("minmax", "mindist", "maxsum")[i % 3],
+                objective=OBJECTIVES[i % len(OBJECTIVES)],
             )
         )
     pool = SessionPool(facade.snapshot(), size=2)
@@ -396,7 +416,7 @@ def run_checks() -> List[str]:
             "queue_pops",
             "iterations",
         )
-        for objective in ("minmax", "mindist", "maxsum"):
+        for objective in OBJECTIVES:
             label = f"kernels/{objective}"
             got = kernel_engine.query(
                 clients, facilities, objective=objective, cold=True
