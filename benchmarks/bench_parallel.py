@@ -24,7 +24,7 @@ import random
 import pytest
 
 from repro.core.parallel import run_batch_parallel
-from repro.core.session import BatchQuery
+from repro.core.request import QueryRequest
 from repro.core.stats import distance_invariant_violations
 from repro.datasets.workloads import (
     random_facility_sets,
@@ -47,7 +47,7 @@ def _batch(engine, queries: int = BATCH_QUERIES, seed: int = 0):
         rng = random.Random(seed + i)
         facilities = random_facility_sets(engine.venue, 30, 60, rng)
         clients = uniform_clients(engine.venue, BATCH_CLIENTS, rng)
-        batch.append(BatchQuery(clients, facilities))
+        batch.append(QueryRequest(clients, facilities))
     return batch
 
 

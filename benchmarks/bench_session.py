@@ -24,7 +24,7 @@ import random
 from repro.bench.reporting import format_cache_effectiveness
 from repro.core.efficient import efficient_minmax
 from repro.core.problem import IFLSProblem
-from repro.core.session import BatchQuery
+from repro.core.request import QueryRequest
 from repro.datasets.workloads import (
     random_facility_sets,
     uniform_clients,
@@ -45,7 +45,7 @@ def _batch(engine, queries: int = BATCH_QUERIES, seed: int = 0):
         rng = random.Random(seed + i)
         facilities = random_facility_sets(engine.venue, 30, 60, rng)
         clients = uniform_clients(engine.venue, BATCH_CLIENTS, rng)
-        batch.append(BatchQuery(clients, facilities))
+        batch.append(QueryRequest(clients, facilities))
     return batch
 
 

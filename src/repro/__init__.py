@@ -24,10 +24,11 @@ Quickstart::
 :func:`open_venue` is the facade every surface shares — the library
 API, the ``ifls`` CLI, and the HTTP query service
 (:mod:`repro.service`) all speak the same
-:class:`QueryRequest`/:class:`QueryResponse` pair.  The
-pre-1.6 spellings (:class:`IFLSEngine`, ``EfficientOptions``,
-``BatchQuery``) keep working; see the migration table in
-``docs/API.md``.
+:class:`QueryRequest`/:class:`QueryResponse` pair, and every batch
+executor (:class:`QuerySession`, :func:`run_batch_parallel`) takes
+lists of :class:`QueryRequest`.  :class:`IFLSEngine` stays the
+raw-result core engine under :class:`Engine`; see "Migrating to 2.0"
+in ``docs/API.md`` for the names 2.0 removed.
 
 Observability: wrap any of the above in :func:`repro.obs.observe` to
 collect a span trace and a metrics snapshot (zero overhead when not
@@ -45,7 +46,6 @@ from .core import (
     MINDIST,
     MINMAX,
     TOP_DOWN,
-    BatchQuery,
     ClientEvent,
     ContinuousQuery,
     DynamicIFLSSession,
@@ -112,14 +112,13 @@ from .obs import (
     observe,
 )
 
-__version__ = "1.9.2"
+__version__ = "2.0.0"
 
 __all__ = [
     "BACKENDS",
     "BASELINE",
     "BOTTOM_UP",
     "BRUTE_FORCE",
-    "BatchQuery",
     "Client",
     "ClientEvent",
     "ContinuousQuery",

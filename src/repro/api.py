@@ -17,12 +17,12 @@ the HTTP query service — speaks the same
     response = engine.query(request)
     print(response.answer, response.objective_value)
 
-The legacy spellings (:class:`~repro.core.queries.IFLSEngine`,
-``EfficientOptions``, session/parallel keyword arguments) keep working
-unchanged; :class:`Engine` additionally accepts the legacy
-``query(clients, facilities, ...)`` signature through a
-:class:`DeprecationWarning` shim.  The migration table lives in
-``docs/API.md``.
+:meth:`Engine.query` takes exactly one request, and :meth:`Engine.run`
+and the session and parallel executors take lists of them: one query
+value travels from the wire to the worker shard.  The raw-result core
+engine (:class:`~repro.core.queries.IFLSEngine`) stays available as
+:attr:`Engine.core`.  The names 2.0 removed, with their replacements,
+are listed under "Migrating to 2.0" in ``docs/API.md``.
 
 Backends
 --------
@@ -43,7 +43,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Union
 
 from .core.queries import IFLSEngine
-from .core.request import QueryRequest, QueryResponse, warn_legacy_call
+from .core.request import QueryRequest, QueryResponse
 from .core.session import QuerySession
 from .errors import QueryError, VenueError
 from .indoor.entities import Client, FacilitySets
@@ -177,29 +177,19 @@ class Engine:
     # ------------------------------------------------------------------
     # Answering
     # ------------------------------------------------------------------
-    def query(self, request, *args, **kwargs) -> QueryResponse:
+    def query(self, request: QueryRequest) -> QueryResponse:
         """Answer one :class:`QueryRequest`.
 
-        The legacy ``query(clients, facilities, objective=..., ...)``
-        signature still works through a :class:`DeprecationWarning`
-        shim that converts the arguments into a request first.
-
-        A request arriving without a ``request_id`` gets one minted
-        here (``q…``), so library callers are correlated in telemetry
-        just like service traffic; the id is echoed on the response.
+        Anything other than a :class:`QueryRequest` raises
+        :class:`QueryError`.  A request arriving without a
+        ``request_id`` gets one minted here (``q…``), so library
+        callers are correlated in telemetry just like service traffic;
+        the id is echoed on the response.
         """
         if not isinstance(request, QueryRequest):
-            warn_legacy_call(
-                "Engine.query(clients, facilities, ...)",
-                "Engine.query(QueryRequest(...))",
-            )
-            request = QueryRequest.from_legacy(
-                request, *args, **kwargs
-            )
-        elif args or kwargs:
             raise QueryError(
-                "Engine.query(QueryRequest(...)) takes no further "
-                "arguments"
+                "Engine.query takes one QueryRequest, got "
+                f"{type(request).__name__}"
             )
         self._require_query_backend()
         if not request.request_id:
@@ -216,7 +206,6 @@ class Engine:
             objective=request.objective,
             algorithm=request.algorithm,
             options=request.options(),
-            measure_memory=request.measure_memory,
         )
         elapsed = _time.perf_counter() - started
         after = self.core.distances.stats.snapshot()
@@ -376,18 +365,10 @@ class Engine:
         return index.door_to_door(a, b)
 
 
-def legacy_facilities(
-    existing: Sequence[int], candidates: Sequence[int]
-) -> FacilitySets:
-    """Small helper mirroring the wire format's facility spelling."""
-    return FacilitySets(frozenset(existing), frozenset(candidates))
-
-
 __all__ = [
     "BACKENDS",
     "Engine",
     "open_venue",
-    "legacy_facilities",
     "Client",
     "QueryRequest",
     "QueryResponse",

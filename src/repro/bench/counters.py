@@ -154,7 +154,7 @@ def measure_session_counters(
     sequence through one :class:`QuerySession`.  Answers must agree
     exactly — the warm path only changes what is *recomputed*.
     """
-    from ..core.session import BatchQuery
+    from ..core.request import QueryRequest
 
     scale = scale or current_scale()
     cache = cache or EngineCache()
@@ -172,7 +172,7 @@ def measure_session_counters(
                 rng,
             )
             clients = uniform_clients(engine.venue, count, rng)
-            batch.append(BatchQuery(clients, facilities))
+            batch.append(QueryRequest(clients, facilities))
         cold_totals: Dict[str, int] = {}
         cold_answers = []
         for query in batch:
@@ -232,7 +232,7 @@ def measure_parallel_counters(
     here so stat-merging drift shows up in bench output, not just CI.
     """
     from ..core.parallel import run_batch_parallel
-    from ..core.session import BatchQuery
+    from ..core.request import QueryRequest
     from ..core.stats import distance_invariant_violations
 
     scale = scale or current_scale()
@@ -251,7 +251,7 @@ def measure_parallel_counters(
                 rng,
             )
             clients = uniform_clients(engine.venue, count, rng)
-            batch.append(BatchQuery(clients, facilities))
+            batch.append(QueryRequest(clients, facilities))
         serial = run_batch_parallel(engine, batch, 1)
         sharded = run_batch_parallel(engine, batch, workers)
         rows.append(

@@ -491,7 +491,7 @@ def parallel_scaling(
     runner shows ~1x with the sharding overhead on top.
     """
     from ..core.parallel import run_batch_parallel
-    from ..core.session import BatchQuery
+    from ..core.request import QueryRequest
 
     scale = scale or current_scale()
     cache = cache or EngineCache()
@@ -509,7 +509,7 @@ def parallel_scaling(
             rng,
         )
         clients = uniform_clients(engine.venue, count, rng)
-        batch.append(BatchQuery(clients, facilities))
+        batch.append(QueryRequest(clients, facilities))
     reference = None
     rows: List[Row] = []
     for workers in worker_counts:

@@ -138,7 +138,7 @@ def _suite_small() -> Dict[str, MetricSample]:
 
     from ..core.parallel import run_batch_parallel
     from ..core.queries import IFLSEngine
-    from ..core.session import BatchQuery
+    from ..core.request import QueryRequest
     from ..core.stats import merge_query_stats
     from ..datasets import (
         random_facility_sets,
@@ -159,7 +159,7 @@ def _suite_small() -> Dict[str, MetricSample]:
         facilities = random_facility_sets(venue, 4, 8, rng)
         clients = uniform_clients(venue, 40, rng)
         batch.append(
-            BatchQuery(
+            QueryRequest(
                 tuple(clients),
                 facilities,
                 objective=objectives[number % len(objectives)],

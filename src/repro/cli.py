@@ -143,7 +143,7 @@ def _run_query_batch(args: argparse.Namespace, venue, fe: int, fn: int) -> int:
     models a stream of independent requests against one venue; the
     session report shows what the warm caches saved.
     """
-    from .core.session import BatchQuery
+    from .core.request import QueryRequest
 
     if args.algorithm != "efficient":
         print("batch mode uses the efficient algorithm "
@@ -165,7 +165,7 @@ def _run_query_batch(args: argparse.Namespace, venue, fe: int, fn: int) -> int:
             sigma=args.sigma,
         )
         batch.append(
-            BatchQuery(
+            QueryRequest(
                 clients,
                 facilities,
                 objective=args.objective,

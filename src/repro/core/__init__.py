@@ -23,7 +23,7 @@ from .parallel import (
     run_batch_parallel,
 )
 from .problem import IFLSProblem
-from .request import QueryRequest, QueryResponse, as_batch_queries
+from .request import QueryRequest, QueryResponse
 from .queries import (
     BASELINE,
     BRUTE_FORCE,
@@ -35,7 +35,6 @@ from .queries import (
 )
 from .result import IFLSResult, ResultStatus
 from .session import (
-    BatchQuery,
     QuerySession,
     SessionQueryRecord,
     SessionReport,
@@ -59,7 +58,6 @@ from .stats import (
 
 __all__ = [
     "BASELINE",
-    "BatchQuery",
     "BOTTOM_UP",
     "BRUTE_FORCE",
     "ClientEvent",
@@ -85,7 +83,6 @@ __all__ = [
     "ParallelBatchOutcome",
     "QueryRequest",
     "QueryResponse",
-    "as_batch_queries",
     "run_batch_parallel",
     "distance_invariant_violations",
     "merge_query_stats",

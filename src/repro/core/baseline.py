@@ -43,16 +43,10 @@ from .stats import QueryStats
 INFINITY = float("inf")
 
 
-def modified_minmax(
-    problem: IFLSProblem, measure_memory: bool = False
-) -> IFLSResult:
+def modified_minmax(problem: IFLSProblem) -> IFLSResult:
     """Answer a MinMax IFLS query with the modified MinMax baseline."""
     return measured_query(
-        "baseline",
-        "minmax",
-        problem,
-        measure_memory,
-        lambda stats: _run(problem, stats),
+        "baseline", "minmax", problem, lambda stats: _run(problem, stats)
     )
 
 

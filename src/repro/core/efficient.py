@@ -29,8 +29,8 @@ pruning for MinMax, MinDist and MaxSum alike; each objective supplies
 only its bookkeeping behind the :class:`ObjectiveState` protocol
 (:class:`_MinMaxState` here, the other two in :mod:`repro.core.mindist`
 and :mod:`repro.core.maxsum`).  :func:`measured_query` is the timing,
-memory, span and metrics wrapper every efficient objective and the
-baseline answer through.
+span and metrics wrapper every efficient objective and the baseline
+answer through.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-import tracemalloc
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -100,7 +99,6 @@ class EfficientOptions:
     prune_clients: bool = True
     group_by_partition: bool = True
     traversal: str = BOTTOM_UP
-    measure_memory: bool = False
     use_kernels: Optional[bool] = None
 
     def __post_init__(self) -> None:
@@ -577,16 +575,14 @@ def measured_query(
     algorithm: str,
     objective: str,
     problem: IFLSProblem,
-    measure_memory: bool,
     solve: Callable[[QueryStats], IFLSResult],
 ) -> IFLSResult:
     """Run ``solve`` as one measured ``query.<algorithm>.<objective>``.
 
     The one wrapper around every efficient objective and the baseline:
-    it opens the query span, times the solve (with ``tracemalloc``
-    running when ``measure_memory``), adds the distance engine's
-    counter movement to the result's :class:`QueryStats`, and publishes
-    the query metrics.
+    it opens the query span, times the solve, adds the distance
+    engine's counter movement to the result's :class:`QueryStats`, and
+    publishes the query metrics.
     """
     engine = problem.engine
     stats = QueryStats(
@@ -595,20 +591,12 @@ def measured_query(
     )
     started = time.perf_counter()
     before = engine.stats.snapshot()
-    if measure_memory:
-        tracemalloc.start()
-    try:
-        with _trace.span(
-            f"query.{algorithm}.{objective}",
-            stats=engine.stats,
-            clients=len(problem.clients),
-        ):
-            result = solve(stats)
-    finally:
-        if measure_memory:
-            _, peak = tracemalloc.get_traced_memory()
-            stats.peak_memory_bytes = peak
-            tracemalloc.stop()
+    with _trace.span(
+        f"query.{algorithm}.{objective}",
+        stats=engine.stats,
+        clients=len(problem.clients),
+    ):
+        result = solve(stats)
     stats.add_engine_delta(before, engine.stats.snapshot())
     stats.elapsed_seconds = time.perf_counter() - started
     publish_query_metrics(result)
@@ -631,7 +619,6 @@ def run_efficient(
         "efficient",
         objective,
         problem,
-        options.measure_memory,
         lambda stats: _solve(new_state(), problem, options, stats),
     )
 

@@ -4,8 +4,9 @@
 keeping distance memos warm across queries, but it is single-core.
 Facility-location workloads shard cleanly — queries against one venue
 are independent, and distances depend only on the immutable venue
-geometry — so this module fans a :class:`BatchQuery` list out over ``N``
-worker processes, each running its *own* warm session over a shared
+geometry — so this module fans a
+:class:`~repro.core.request.QueryRequest` list out over ``N`` worker
+processes, each running its *own* warm session over a shared
 venue + VIP-tree snapshot, and deterministically reassembles the
 answers in submission order.
 
@@ -68,13 +69,13 @@ from ..obs.explain import ExplainReport
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import SpanRecord, Tracer
 from .queries import IFLSEngine
-from .request import as_batch_queries
+from .request import QueryRequest
 from .result import IFLSResult
 from .session import (
-    BatchQuery,
     QuerySession,
     SessionQueryRecord,
     SessionReport,
+    check_batch,
 )
 from .stats import (
     QueryStats,
@@ -206,7 +207,7 @@ def _init_spawn_worker(
 
 
 def _run_shard(
-    shard: Sequence[Tuple[int, BatchQuery]],
+    shard: Sequence[Tuple[int, QueryRequest]],
     submitted_at: Optional[float] = None,
     observe_trace: bool = False,
     observe_metrics: bool = False,
@@ -214,7 +215,7 @@ def _run_shard(
 ) -> ShardOutcome:
     """Answer one shard on this worker's warm session.
 
-    ``shard`` carries ``(submission_index, query)`` pairs; record
+    ``shard`` carries ``(submission_index, request)`` pairs; record
     indices are rewritten to the 1-based submission position so the
     merged report reads like one serial session.  When the parent had
     collectors active it sets the ``observe_*`` flags: the shard then
@@ -252,7 +253,7 @@ def _run_shard(
         _metrics.add("parallel.shards")
         shard_attrs = {"queries": len(shard)}
         request_ids = _trace.dedup_request_ids(
-            query.request_id for _, query in shard
+            request.request_id for _, request in shard
         )
         if request_ids:
             # A list, so the attribute survives a JSON round-trip
@@ -260,17 +261,8 @@ def _run_shard(
             shard_attrs["request_ids"] = list(request_ids)
         shard_started = time.perf_counter()
         with _trace.span("parallel.shard", **shard_attrs):
-            for index, query in shard:
-                results.append(
-                    session.query(
-                        query.clients,
-                        query.facilities,
-                        objective=query.objective,
-                        options=query.options,
-                        label=query.label or f"q{index + 1}",
-                        request_id=query.request_id,
-                    )
-                )
+            for index, request in shard:
+                results.append(session.answer(request, f"q{index + 1}"))
                 indices.append(index)
         _metrics.record(
             "parallel.shard.seconds",
@@ -310,8 +302,8 @@ def _run_shard(
 # Parent side
 # ---------------------------------------------------------------------------
 def shard_batch(
-    batch: Sequence[BatchQuery], workers: int
-) -> List[List[Tuple[int, BatchQuery]]]:
+    batch: Sequence[QueryRequest], workers: int
+) -> List[List[Tuple[int, QueryRequest]]]:
     """Deal the batch round-robin into ``workers`` indexed shards.
 
     Striding (worker ``w`` gets queries ``w, w + workers, …``) balances
@@ -388,7 +380,7 @@ def _empty_outcome(start_method: str) -> ParallelBatchOutcome:
 
 def _run_serial(
     engine: IFLSEngine,
-    batch: Sequence[BatchQuery],
+    batch: Sequence[QueryRequest],
     max_cache_entries: Optional[int],
     keep_records: bool,
     explain: bool = False,
@@ -421,7 +413,7 @@ def _run_serial(
 
 def run_batch_parallel(
     engine: IFLSEngine,
-    batch: Sequence[BatchQuery],
+    batch: Sequence[QueryRequest],
     workers: int,
     max_cache_entries: Optional[int] = None,
     keep_records: bool = True,
@@ -452,12 +444,16 @@ def run_batch_parallel(
 
     Raises
     ------
+    QueryError
+        Before any worker starts, when a batch item is not an
+        ``"efficient"`` :class:`~repro.core.request.QueryRequest`
+        (:func:`~repro.core.session.check_batch`).
     ParallelExecutionError
         When a shard raises, a worker process dies, or the merged
         counters break an invariant.
     """
     global _FORK_ENGINE
-    batch = as_batch_queries(batch)
+    batch = check_batch(batch)
     method = start_method or default_start_method()
     if method not in (FORK, SPAWN):
         raise ParallelExecutionError(

@@ -7,6 +7,7 @@ from typing import Dict, Iterable, List, Sequence
 
 from ..errors import QueryError
 from ..indoor.entities import Client, FacilitySets, PartitionId
+from ..indoor.venue import IndoorVenue
 from ..index.distance import VIPDistanceEngine
 
 
@@ -21,6 +22,50 @@ def check_unique_client_ids(clients: Iterable[Client]) -> None:
         if client.client_id in seen:
             raise QueryError(f"duplicate client id {client.client_id}")
         seen.add(client.client_id)
+
+
+def check_client_partitions(
+    venue: IndoorVenue, clients: Iterable[Client]
+) -> None:
+    """Raise :class:`QueryError` naming the first client whose
+    partition is not in ``venue`` (one O(1) lookup per client)."""
+    known = venue.has_partition
+    for client in clients:
+        if not known(client.partition_id):
+            raise QueryError(
+                f"client {client.client_id} in unknown partition "
+                f"{client.partition_id}"
+            )
+
+
+def check_query_inputs(
+    venue: IndoorVenue,
+    clients: Sequence[Client],
+    facilities: FacilitySets,
+) -> None:
+    """The input rules every IFLS query obeys, checked against ``venue``.
+
+    At least one client, a non-empty candidate set ``Fn``, facility and
+    client partitions that exist in the venue, and unique client ids;
+    :class:`QueryError` names the first rule broken.
+    :class:`IFLSProblem` runs these rules on every query, and the query
+    service runs them before a request joins a coalesced flush.
+    """
+    if not clients:
+        raise QueryError("IFLS query requires at least one client")
+    if not facilities.candidates:
+        raise QueryError(
+            "IFLS query requires a non-empty candidate set Fn"
+        )
+    bad = sorted(
+        pid
+        for pid in facilities.all_facilities
+        if not venue.has_partition(pid)
+    )
+    if bad:
+        raise QueryError(f"facility partitions not in venue: {bad[:5]!r}")
+    check_unique_client_ids(clients)
+    check_client_partitions(venue, clients)
 
 
 @dataclass
@@ -39,25 +84,8 @@ class IFLSProblem:
     )
 
     def __post_init__(self) -> None:
-        if not self.clients:
-            raise QueryError("IFLS query requires at least one client")
-        if not self.facilities.candidates:
-            raise QueryError(
-                "IFLS query requires a non-empty candidate set Fn"
-            )
-        venue_partitions = set(self.engine.venue.partition_ids())
-        bad = self.facilities.all_facilities - venue_partitions
-        if bad:
-            raise QueryError(
-                f"facility partitions not in venue: {sorted(bad)[:5]!r}"
-            )
-        check_unique_client_ids(self.clients)
+        check_query_inputs(self.engine.venue, self.clients, self.facilities)
         for client in self.clients:
-            if client.partition_id not in venue_partitions:
-                raise QueryError(
-                    f"client {client.client_id} in unknown partition "
-                    f"{client.partition_id}"
-                )
             self.clients_by_partition.setdefault(
                 client.partition_id, []
             ).append(client)

@@ -110,7 +110,6 @@ class IFLSEngine:
         objective: str = MINMAX,
         algorithm: str = EFFICIENT,
         options: Optional[EfficientOptions] = None,
-        measure_memory: bool = False,
         cold: bool = False,
     ) -> IFLSResult:
         """Answer one IFLS query.
@@ -125,9 +124,6 @@ class IFLSEngine:
             MinMax, only for the minmax objective), or ``"bruteforce"``.
         options:
             Ablation switches for the efficient approach.
-        measure_memory:
-            Track peak memory via ``tracemalloc`` (slows the query; used
-            by the benchmark harness).
         cold:
             Run on a fresh distance engine instead of this
             :class:`IFLSEngine`'s shared, warm one.  The baseline gets a
@@ -153,38 +149,14 @@ class IFLSEngine:
                 MINDIST: brute_force_mindist,
                 MAXSUM: brute_force_maxsum,
             }
-            if not measure_memory:
-                return dispatch[objective](problem)
-            import time
-            import tracemalloc
-
-            tracemalloc.start()
-            started = time.perf_counter()
-            try:
-                result = dispatch[objective](problem)
-            finally:
-                _, peak = tracemalloc.get_traced_memory()
-                tracemalloc.stop()
-            result.stats.peak_memory_bytes = peak
-            result.stats.elapsed_seconds = time.perf_counter() - started
-            return result
+            return dispatch[objective](problem)
         if algorithm == BASELINE:
             if objective != MINMAX:
                 raise QueryError(
                     "the modified MinMax baseline only supports the "
                     "minmax objective (paper Section 4)"
                 )
-            return modified_minmax(problem, measure_memory=measure_memory)
-        if options is None:
-            options = EfficientOptions(measure_memory=measure_memory)
-        elif measure_memory and not options.measure_memory:
-            options = EfficientOptions(
-                prune_clients=options.prune_clients,
-                group_by_partition=options.group_by_partition,
-                traversal=options.traversal,
-                measure_memory=True,
-                use_kernels=options.use_kernels,
-            )
+            return modified_minmax(problem)
         return EFFICIENT_SOLVERS[objective](problem, options)
 
     def explain(

@@ -1,19 +1,16 @@
-"""The unified query surface: :class:`QueryRequest` / :class:`QueryResponse`.
+"""The query value: :class:`QueryRequest` / :class:`QueryResponse`.
 
-Before the service refactor the library grew three overlapping option
-surfaces: :class:`~repro.core.efficient.EfficientOptions` (solver
-ablations), ``QuerySession`` keyword arguments, and the
-``run_batch_parallel`` keyword arguments.  A query that travelled from
-the CLI through a session into the pool executor was re-spelled at
-every hop.  :class:`QueryRequest` collapses the per-query half of that
-drift into one dataclass shared by the library API
-(:meth:`repro.api.Engine.query`), the CLI, and the wire protocol of the
-query service (:mod:`repro.service`); :class:`QueryResponse` is the
-matching answer envelope.
+:class:`QueryRequest` is the one per-query value every surface and
+executor takes: the library API (:meth:`repro.api.Engine.query` /
+:meth:`~repro.api.Engine.run`), :meth:`QuerySession.run
+<repro.core.session.QuerySession.run>` and the process-pool shards of
+:func:`~repro.core.parallel.run_batch_parallel`, the CLI, and the wire
+protocol of the query service (:mod:`repro.service`).
+:class:`QueryResponse` is the matching answer envelope.
 
 Execution-scope knobs (cache budgets, worker counts, record keeping)
 stay on the executors that own them — they describe *where* a query
-runs, not *what* it asks — see the migration table in ``docs/API.md``.
+runs, not *what* it asks.
 
 Wire format
 -----------
@@ -28,9 +25,8 @@ service maps them to HTTP 400 without guessing.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ProtocolError, QueryError
 from ..indoor.entities import Client, FacilitySets, PartitionId
@@ -50,15 +46,12 @@ WIRE_FORMAT = "ifls-query/1"
 class QueryRequest:
     """Everything one IFLS query asks for, in one place.
 
-    The per-query fields of the three legacy surfaces map onto this
-    dataclass one to one:
-
-    * ``EfficientOptions.prune_clients / group_by_partition /
-      traversal / use_kernels / measure_memory`` are plain fields here;
-    * ``BatchQuery.objective / label`` likewise;
-    * session/pool keywords (``max_cache_entries``, ``workers``, …)
-      deliberately do **not** appear — they configure executors, not
-      queries.
+    ``prune_clients``, ``group_by_partition``, ``traversal`` and
+    ``use_kernels`` are the solver ablations of
+    :class:`~repro.core.efficient.EfficientOptions` (see
+    :meth:`options`).  Session/pool keywords (``max_cache_entries``,
+    ``workers``, …) deliberately do **not** appear — they configure
+    executors, not queries.
 
     ``timeout_seconds`` is honoured by the query service (HTTP 504 when
     exceeded); library executors ignore it.  ``explain`` asks the
@@ -80,7 +73,6 @@ class QueryRequest:
     group_by_partition: bool = True
     traversal: str = BOTTOM_UP
     use_kernels: Optional[bool] = None
-    measure_memory: bool = False
     timeout_seconds: Optional[float] = None
     explain: bool = False
     request_id: str = ""
@@ -104,21 +96,16 @@ class QueryRequest:
         # the request before it joins (and fails) a coalesced flush.
         check_unique_client_ids(self.clients)
 
-    # ------------------------------------------------------------------
-    # Legacy-surface bridges
-    # ------------------------------------------------------------------
     def options(self) -> Optional[EfficientOptions]:
         """The solver-level options this request resolves to.
 
-        Returns ``None`` when every ablation field is at its default so
-        fully-default requests take the exact cold-path code the legacy
-        ``options=None`` call sites take (bit-identical counters).
+        Returns ``None`` when every ablation field is at its default,
+        so a fully-default request runs the solvers' own defaults.
         """
         if (
             self.prune_clients
             and self.group_by_partition
             and self.traversal == BOTTOM_UP
-            and not self.measure_memory
             and self.use_kernels is None
         ):
             return None
@@ -126,65 +113,7 @@ class QueryRequest:
             prune_clients=self.prune_clients,
             group_by_partition=self.group_by_partition,
             traversal=self.traversal,
-            measure_memory=self.measure_memory,
             use_kernels=self.use_kernels,
-        )
-
-    @classmethod
-    def from_legacy(
-        cls,
-        clients: Sequence[Client],
-        facilities: FacilitySets,
-        objective: str = MINMAX,
-        algorithm: str = "efficient",
-        options: Optional[EfficientOptions] = None,
-        label: str = "",
-    ) -> "QueryRequest":
-        """Build a request from the legacy argument spelling.
-
-        The deprecation shims (``Engine.query`` with the old positional
-        signature, ``BatchQuery.to_request``) funnel through here; new
-        code constructs :class:`QueryRequest` directly.
-        """
-        kwargs: Dict[str, Any] = {}
-        if options is not None:
-            kwargs.update(
-                prune_clients=options.prune_clients,
-                group_by_partition=options.group_by_partition,
-                traversal=options.traversal,
-                measure_memory=options.measure_memory,
-                use_kernels=options.use_kernels,
-            )
-        return cls(
-            clients=tuple(clients),
-            facilities=facilities,
-            objective=objective,
-            algorithm=algorithm,
-            label=label,
-            **kwargs,
-        )
-
-    def to_batch_query(self):
-        """The legacy ``BatchQuery`` equivalent (internal executors).
-
-        Sessions answer through the efficient solvers only, so a
-        request carrying another algorithm cannot ride a batch — use
-        :meth:`repro.api.Engine.query` for baseline/bruteforce runs.
-        """
-        from .session import BatchQuery
-
-        if self.algorithm != "efficient":
-            raise QueryError(
-                f"batch execution supports the 'efficient' algorithm "
-                f"only, got {self.algorithm!r}"
-            )
-        return BatchQuery(
-            clients=self.clients,
-            facilities=self.facilities,
-            objective=self.objective,
-            options=self.options(),
-            label=self.label,
-            request_id=self.request_id,
         )
 
     # ------------------------------------------------------------------
@@ -392,35 +321,3 @@ class QueryResponse:
                 f"malformed response payload: {exc}"
             ) from exc
 
-
-def as_batch_queries(requests: Sequence[Any]) -> List[Any]:
-    """Normalise a mixed request/legacy batch for the executors.
-
-    Accepts :class:`QueryRequest` and legacy ``BatchQuery`` items in any
-    mix; executors keep operating on ``BatchQuery`` internally so the
-    hot paths and their counters are untouched.
-    """
-    from .session import BatchQuery
-
-    out: List[Any] = []
-    for item in requests:
-        if isinstance(item, QueryRequest):
-            out.append(item.to_batch_query())
-        elif isinstance(item, BatchQuery):
-            out.append(item)
-        else:
-            raise QueryError(
-                "batch items must be QueryRequest or BatchQuery, got "
-                f"{type(item).__name__}"
-            )
-    return out
-
-
-def warn_legacy_call(old: str, new: str) -> None:
-    """Emit the standard deprecation warning for a legacy spelling."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead "
-        "(see the migration table in docs/API.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )

@@ -15,7 +15,7 @@ Lifecycle::
 
     session = QuerySession(engine)            # or engine.session()
     result = session.query(clients, facilities)          # warm minmax
-    results = session.run(batch)                         # BatchQuery seq
+    results = session.run(requests)                      # QueryRequest seq
     print(session.report().describe())                   # cache stats
 
 Warm caches are safe to reuse for as long as the venue geometry
@@ -34,7 +34,7 @@ from __future__ import annotations
 import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from ..errors import QueryError
 from ..indoor.entities import Client, FacilitySets, PartitionId
@@ -48,31 +48,34 @@ from ..obs.profile import ProfileCollector
 from ..obs.trace import Tracer
 from .efficient import EfficientOptions
 from .problem import IFLSProblem
-from .queries import EFFICIENT_SOLVERS, MINMAX, IFLSEngine
+from .queries import EFFICIENT, EFFICIENT_SOLVERS, MINMAX, IFLSEngine
+from .request import QueryRequest
 from .result import IFLSResult
 
 
-@dataclass(frozen=True)
-class BatchQuery:
-    """One query of a batch: inputs plus an optional display label.
+def check_batch(batch: Iterable[Any]) -> List[QueryRequest]:
+    """The batch executors' admission check, run before any work.
 
-    ``request_id`` is the telemetry correlation id (empty when the
-    caller did not mint one); it rides the batch into the executors so
-    shard spans and per-query records stay attributable.
+    Every item must be a :class:`~repro.core.request.QueryRequest` for
+    the ``"efficient"`` algorithm — sessions answer through the
+    efficient solvers only; use :meth:`repro.api.Engine.query` for
+    baseline/bruteforce runs.  Raises :class:`QueryError` naming the
+    first item that is not; returns the batch as a list.
     """
-
-    clients: Tuple[Client, ...]
-    facilities: FacilitySets
-    objective: str = MINMAX
-    options: Optional[EfficientOptions] = None
-    label: str = ""
-    request_id: str = ""
-
-    def __post_init__(self) -> None:
-        if self.objective not in EFFICIENT_SOLVERS:
-            raise QueryError(f"unknown objective {self.objective!r}")
-        # Accept any sequence of clients; store an immutable tuple.
-        object.__setattr__(self, "clients", tuple(self.clients))
+    requests = list(batch)
+    for item in requests:
+        if not isinstance(item, QueryRequest):
+            raise QueryError(
+                "batch items must be QueryRequest, got "
+                f"{type(item).__name__}"
+            )
+        if item.algorithm != EFFICIENT:
+            raise QueryError(
+                f"batch execution answers the {EFFICIENT!r} algorithm "
+                f"only, got {item.algorithm!r}; use the library's "
+                "Engine.query for baseline/bruteforce runs"
+            )
+    return requests
 
 
 @dataclass
@@ -328,6 +331,23 @@ class QuerySession:
             )
         return result
 
+    def answer(
+        self, request: QueryRequest, default_label: str
+    ) -> IFLSResult:
+        """Answer one batch request through :meth:`query`.
+
+        ``default_label`` names the query when the request carries no
+        label of its own.
+        """
+        return self.query(
+            request.clients,
+            request.facilities,
+            objective=request.objective,
+            options=request.options(),
+            label=request.label or default_label,
+            request_id=request.request_id,
+        )
+
     def _explained_solve(
         self,
         solver,
@@ -378,16 +398,13 @@ class QuerySession:
         return result
 
     def run(
-        self, batch: Iterable[BatchQuery], workers: int = 1
+        self, batch: Iterable[QueryRequest], workers: int = 1
     ) -> List[IFLSResult]:
         """Answer a whole batch; results always follow submission order.
 
-        ``batch`` items are
-        :class:`~repro.core.request.QueryRequest` objects — the
-        primary spelling every surface shares (see ``docs/API.md``).
-        The pre-1.6 :class:`BatchQuery` spelling is deprecated but
-        still accepted, and the two may be mixed (both convert on
-        entry; the executor hot path is unchanged).
+        ``batch`` items are :class:`~repro.core.request.QueryRequest`
+        objects for the ``"efficient"`` algorithm; anything else raises
+        :class:`QueryError` before any query runs (:func:`check_batch`).
 
         ``workers=1`` (default) answers serially on this session's own
         warm engine — the original code path, byte for byte.
@@ -402,22 +419,13 @@ class QuerySession:
         ``report().cache_entries`` keeps reflecting this process's own
         engine only.
         """
-        from .request import as_batch_queries
-
         if workers < 1:
             raise QueryError(f"workers must be >= 1, got {workers}")
-        batch = as_batch_queries(list(batch))
+        batch = check_batch(batch)
         if workers == 1 or len(batch) <= 1:
             return [
-                self.query(
-                    query.clients,
-                    query.facilities,
-                    objective=query.objective,
-                    options=query.options,
-                    label=query.label or f"q{self.queries_answered + 1}",
-                    request_id=query.request_id,
-                )
-                for query in batch
+                self.answer(request, f"q{self.queries_answered + 1}")
+                for request in batch
             ]
         from ..index.distance import DistanceStats
         from .parallel import run_batch_parallel

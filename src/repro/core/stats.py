@@ -8,11 +8,10 @@ were needed, and how big the priority queue traffic was.
 
 The module also owns the merging rules the parallel batch executor
 (:mod:`repro.core.parallel`) relies on: every counter is a plain sum,
-``elapsed_seconds`` adds up (total CPU work, not wall clock), and
-``peak_memory_bytes`` takes the maximum (workers run concurrently, but
-per-process peaks do not add).  Summing preserves every structural
-invariant ``tools/check_counters.py`` enforces — sums of non-negative
-counters stay non-negative, and linear identities such as
+and ``elapsed_seconds`` adds up (total CPU work, not wall clock).
+Summing preserves every structural invariant
+``tools/check_counters.py`` enforces — sums of non-negative counters
+stay non-negative, and linear identities such as
 ``hits + computations == calls`` and ``queue_pops <= queue_pushes``
 survive addition term by term.  :func:`distance_invariant_violations`
 re-checks the linear identities on any snapshot (pre- or post-merge) so
@@ -43,7 +42,6 @@ class QueryStats:
     group_compactions: int = 0
     group_compaction_cost: int = 0
     elapsed_seconds: float = 0.0
-    peak_memory_bytes: int = 0
     distance: DistanceStats = field(default_factory=DistanceStats)
 
     @property
@@ -54,10 +52,8 @@ class QueryStats:
     def merge(self, other: "QueryStats") -> None:
         """Accumulate another query's counters into this one.
 
-        Counters sum; ``elapsed_seconds`` sums (aggregate CPU work);
-        ``peak_memory_bytes`` takes the maximum, since two queries that
-        never ran in the same process do not share a heap.  The
-        ``algorithm`` label is kept when it agrees and becomes
+        Counters sum; ``elapsed_seconds`` sums (aggregate CPU work).
+        The ``algorithm`` label is kept when it agrees and becomes
         ``"mixed"`` when the merged runs used different algorithms.
         """
         if self.algorithm != other.algorithm:
@@ -74,9 +70,6 @@ class QueryStats:
         self.group_compactions += other.group_compactions
         self.group_compaction_cost += other.group_compaction_cost
         self.elapsed_seconds += other.elapsed_seconds
-        self.peak_memory_bytes = max(
-            self.peak_memory_bytes, other.peak_memory_bytes
-        )
         self.distance.merge(other.distance)
 
     def add_engine_delta(
@@ -108,7 +101,6 @@ class QueryStats:
             "group_compactions": self.group_compactions,
             "group_compaction_cost": self.group_compaction_cost,
             "elapsed_seconds": self.elapsed_seconds,
-            "peak_memory_bytes": self.peak_memory_bytes,
         }
         out.update(self.distance.snapshot())
         return out

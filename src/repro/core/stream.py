@@ -54,7 +54,7 @@ from ..index.search import FacilitySearch
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .efficient import EfficientOptions, efficient_minmax
-from .problem import IFLSProblem
+from .problem import IFLSProblem, check_client_partitions
 from .queries import MINMAX, IFLSEngine
 from .result import IFLSResult
 from .session import QuerySession
@@ -417,9 +417,10 @@ class ContinuousQuery:
     ) -> StreamAnswer:
         """Apply one event and return the updated answer.
 
-        Unknown ids on remove/move raise :class:`QueryError` *before*
-        any state changes, so a rejected event leaves the stream (and
-        its counters) untouched.  ``request_id`` (when non-empty) tags
+        Unknown ids on remove/move, and an add/move into a partition
+        the venue does not have, raise :class:`QueryError` *before* any
+        state changes, so a rejected event leaves the stream (and its
+        counters) untouched.  ``request_id`` (when non-empty) tags
         the ``stream.event`` span, correlating the event with the HTTP
         request that delivered it.
         """
@@ -454,6 +455,8 @@ class ContinuousQuery:
         if event.kind in (REMOVE, MOVE):
             if event.client_id not in self._clients:
                 raise QueryError(f"unknown client {event.client_id}")
+        if event.kind in (ADD, MOVE):
+            check_client_partitions(self.engine.venue, (event.client,))
 
     def _apply(self, event: ClientEvent) -> StreamAnswer:
         skip = False

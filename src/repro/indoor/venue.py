@@ -71,6 +71,10 @@ class IndoorVenue:
         except KeyError:
             raise UnknownEntityError("partition", partition_id) from None
 
+    def has_partition(self, partition_id: PartitionId) -> bool:
+        """Whether ``partition_id`` names a partition of this venue."""
+        return partition_id in self._partitions
+
     def door(self, door_id: DoorId) -> Door:
         """Return a door by id, raising on unknown ids."""
         try:

@@ -61,7 +61,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..core.problem import check_query_inputs
 from ..core.request import QueryRequest, QueryResponse
+from ..core.session import check_batch
 from ..core.stream import STREAM_FORMAT, ContinuousQuery
 from ..errors import (
     ProtocolError,
@@ -563,17 +565,15 @@ class IFLSService:
             )
         return value
 
-    @staticmethod
-    def _validate_for_service(request: QueryRequest) -> None:
-        """Reject per-request shapes the batched path cannot answer
-        *before* they join a flush (a bad request must never fail its
-        co-batched strangers)."""
-        if request.algorithm != "efficient":
-            raise QueryError(
-                "the query service answers the 'efficient' algorithm "
-                f"only, got {request.algorithm!r}; use the library "
-                "API for baseline/bruteforce runs"
-            )
+    def _validate_for_service(self, request: QueryRequest) -> None:
+        """Reject a request the flush would fail on *before* it joins
+        one (a bad request must never fail its co-batched strangers):
+        the executors' batch check, then the IFLS input rules against
+        the resident venue."""
+        check_batch([request])
+        check_query_inputs(
+            self.engine.venue, request.clients, request.facilities
+        )
 
     # ------------------------------------------------------------------
     # Answering
@@ -665,13 +665,7 @@ class IFLSService:
         """Answer one ``"explain": true`` request, storing its report."""
         session.explain = True
         try:
-            result = session.query(
-                request.clients,
-                request.facilities,
-                objective=request.objective,
-                options=request.options(),
-                label=request.label,
-            )
+            result = session.answer(request, "")
         finally:
             session.explain = False
         report = (

@@ -69,15 +69,6 @@ class TestBehaviour:
         assert result.status is ResultStatus.NO_IMPROVEMENT
         assert result.objective == 0.0
 
-    def test_memory_measurement(self, office):
-        venue, engine, rooms = office
-        clients = make_clients(venue, 10, seed=3)
-        fs = facility_split(rooms, existing=2, candidates=4, seed=3)
-        result = modified_minmax(
-            engine.problem(clients, fs), measure_memory=True
-        )
-        assert result.stats.peak_memory_bytes > 0
-
     def test_deterministic_answers(self, office):
         venue, engine, rooms = office
         clients = make_clients(venue, 30, seed=5)

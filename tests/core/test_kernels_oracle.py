@@ -17,9 +17,9 @@ import pytest
 pytest.importorskip("numpy")
 
 from repro import (  # noqa: E402
-    BatchQuery,
     FacilitySets,
     IFLSEngine,
+    QueryRequest,
     run_batch_parallel,
 )
 from repro.core.efficient import EfficientOptions  # noqa: E402
@@ -117,7 +117,7 @@ class TestSessionOracle:
             facilities = random_facility_sets(venue, 3, 6, rng)
             clients = tuple(uniform_clients(venue, 30, rng))
             queries.append(
-                BatchQuery(
+                QueryRequest(
                     clients,
                     facilities,
                     objective=OBJECTIVES[number % len(OBJECTIVES)],

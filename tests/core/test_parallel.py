@@ -15,10 +15,10 @@ import os
 import pytest
 
 from repro import (
-    BatchQuery,
     FacilitySets,
     IFLSEngine,
     ParallelExecutionError,
+    QueryRequest,
     run_batch_parallel,
 )
 from repro.core import parallel as parallel_module
@@ -51,7 +51,7 @@ def _batch(venue, rooms, queries=6, clients=30, seed_base=0):
     batch = []
     for i in range(queries):
         batch.append(
-            BatchQuery(
+            QueryRequest(
                 make_clients(venue, clients, seed=seed_base + i),
                 facility_split(rooms, 4, 8, seed=seed_base + i),
                 objective=("minmax", "mindist", "maxsum")[i % 3],
@@ -234,14 +234,13 @@ class TestMergeHelpers:
 
     def test_merge_query_stats_mixed_algorithms(self):
         a = QueryStats(algorithm="efficient", queue_pushes=5,
-                       queue_pops=4, peak_memory_bytes=100)
+                       queue_pops=4)
         b = QueryStats(algorithm="baseline", queue_pushes=2,
-                       queue_pops=2, peak_memory_bytes=300)
+                       queue_pops=2)
         merged = merge_query_stats([a, b])
         assert merged.algorithm == "mixed"
         assert merged.queue_pushes == 7
         assert merged.queue_pops == 6
-        assert merged.peak_memory_bytes == 300  # max, not sum
 
     def test_invariant_checker_flags_drift(self):
         clean = {"imind_calls": 3, "imind_cache_hits": 1,
@@ -277,7 +276,7 @@ def _exit_hard(shard):
 class TestFailurePaths:
     def test_bad_inputs_surface_as_parallel_error(self, office):
         venue, engine, rooms = office
-        bad = BatchQuery(
+        bad = QueryRequest(
             make_clients(venue, 10, seed=0),
             FacilitySets(frozenset(), frozenset({99_999})),
         )

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import (
-    EfficientOptions,
     IFLSEngine,
     QueryError,
     ResultStatus,
@@ -104,21 +103,6 @@ class TestColdAndOptions:
         assert result.stats.distance.d2d_cache_hits == 0
         assert result.stats.distance.imind_node_cache_hits == 0
 
-    def test_measure_memory_flag(self, office):
-        engine, clients, fs = office
-        result = engine.query(clients, fs, measure_memory=True)
-        assert result.stats.peak_memory_bytes > 0
-
-    def test_measure_memory_with_explicit_options(self, office):
-        engine, clients, fs = office
-        result = engine.query(
-            clients,
-            fs,
-            options=EfficientOptions(group_by_partition=False),
-            measure_memory=True,
-        )
-        assert result.stats.peak_memory_bytes > 0
-
     def test_shared_tree_between_engines(self, office):
         engine, clients, fs = office
         second = IFLSEngine(engine.venue, tree=engine.tree)
@@ -148,12 +132,3 @@ class TestResultSemantics:
         assert "idist_calls" in snap
         assert snap["clients_total"] == len(clients)
 
-
-class TestBruteForceMemoryMeasurement:
-    def test_bruteforce_measure_memory(self, office):
-        engine, clients, fs = office
-        result = engine.query(
-            clients, fs, algorithm="bruteforce", measure_memory=True
-        )
-        assert result.stats.peak_memory_bytes > 0
-        assert result.stats.elapsed_seconds > 0

@@ -1,18 +1,16 @@
-"""QueryRequest/QueryResponse: validation, codec, legacy bridges."""
-
-import warnings
+"""QueryRequest/QueryResponse: validation, codec, executor boundary."""
 
 import pytest
 
 from repro import (
-    BatchQuery,
     EfficientOptions,
     IFLSEngine,
     QueryRequest,
     QueryResponse,
     TOP_DOWN,
+    run_batch_parallel,
 )
-from repro.core.request import as_batch_queries
+from repro.core import parallel as parallel_module
 from repro.datasets import small_office
 from repro.errors import ProtocolError, QueryError
 from tests.conftest import facility_split, make_clients
@@ -84,25 +82,15 @@ class TestOptionsBridge:
         assert options.prune_clients is False
         assert options.traversal == TOP_DOWN
 
-    def test_from_legacy_round_trips_options(self, office):
-        venue, _engine, rooms = office
-        base = _request(venue, rooms)
-        legacy = QueryRequest.from_legacy(
-            base.clients,
-            base.facilities,
-            objective="mindist",
-            options=EfficientOptions(group_by_partition=False),
-            label="legacy",
-        )
-        assert legacy.objective == "mindist"
-        assert legacy.label == "legacy"
-        assert legacy.group_by_partition is False
-
-    def test_to_batch_query_rejects_non_efficient(self, office):
-        venue, _engine, rooms = office
-        request = _request(venue, rooms, algorithm="baseline")
-        with pytest.raises(QueryError):
-            request.to_batch_query()
+    def test_to_batch_query_rejects_non_efficient(
+        self, office, monkeypatch
+    ):
+        venue, engine, rooms = office
+        batch = [
+            _request(venue, rooms, seed=3),
+            _request(venue, rooms, algorithm="baseline"),
+        ]
+        _assert_rejected_before_any_pool(engine, batch, monkeypatch)
 
 
 class TestWireCodec:
@@ -160,20 +148,30 @@ class TestWireCodec:
             QueryResponse.from_payload({"answer": 1})
 
 
-class TestExecutorBridges:
-    def test_as_batch_queries_accepts_mixed_items(self, office):
-        venue, _engine, rooms = office
-        request = _request(venue, rooms)
-        legacy = BatchQuery(
-            request.clients, request.facilities, objective="mindist"
-        )
-        out = as_batch_queries([request, legacy])
-        assert all(isinstance(item, BatchQuery) for item in out)
-        assert out[1] is legacy
+def _no_pool(*_args, **_kwargs):
+    raise AssertionError("a process pool started for a rejected batch")
 
-    def test_as_batch_queries_rejects_foreign_items(self):
-        with pytest.raises(QueryError):
-            as_batch_queries(["not-a-query"])
+
+def _assert_rejected_before_any_pool(engine, batch, monkeypatch):
+    """Both batch executors refuse ``batch`` with a plain QueryError
+    (not a shard's ParallelExecutionError) before a pool starts."""
+    monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _no_pool)
+    for run in (
+        lambda: engine.session().run(batch, workers=2),
+        lambda: run_batch_parallel(engine, batch, 2),
+    ):
+        with pytest.raises(QueryError) as err:
+            run()
+        assert type(err.value) is QueryError
+
+
+class TestExecutorBridges:
+    def test_as_batch_queries_rejects_foreign_items(
+        self, office, monkeypatch
+    ):
+        venue, engine, rooms = office
+        batch = [_request(venue, rooms, seed=3), "not-a-query"]
+        _assert_rejected_before_any_pool(engine, batch, monkeypatch)
 
     def test_session_run_accepts_requests(self, office):
         venue, engine, rooms = office
@@ -198,23 +196,3 @@ class TestExecutorBridges:
         # Ledger keeps accumulating; only the record list drained.
         assert sum(session.report().totals.values()) > 0
 
-
-class TestDeprecationShim:
-    def test_engine_legacy_query_warns_and_answers(self, office):
-        venue, rooms = office[0], office[2]
-        from repro.api import Engine
-
-        engine = Engine(IFLSEngine(venue))
-        request = _request(venue, rooms, seed=6)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = engine.query(request.clients, request.facilities)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            unified = engine.query(request)  # no warning
-        assert (legacy.answer, legacy.objective_value) == (
-            unified.answer, unified.objective_value
-        )

@@ -8,9 +8,9 @@ brute-force oracle and stay bit-identical between cold and warm runs.
 import pytest
 
 from repro import (
-    BatchQuery,
     EfficientOptions,
     IFLSEngine,
+    QueryRequest,
     QuerySession,
     TOP_DOWN,
 )
@@ -102,7 +102,7 @@ class TestOracleEquivalence:
         batch = []
         for seed in range(5):
             clients, fs = _workload(venue, rooms, seed, clients=20)
-            batch.append(BatchQuery(clients, fs, objective=objective))
+            batch.append(QueryRequest(clients, fs, objective=objective))
         results = engine.session().run(batch)
         for query, result in zip(batch, results):
             want = engine.query(
@@ -195,14 +195,7 @@ class TestValidationAndFacade:
         with pytest.raises(QueryError):
             engine.session().query(clients, fs, objective="furthest")
         with pytest.raises(QueryError):
-            BatchQuery(clients, fs, objective="furthest")
-
-    def test_batch_query_freezes_clients(self, office):
-        venue, engine, rooms = office
-        clients, fs = _workload(venue, rooms, seed=0)
-        query = BatchQuery(clients, fs)
-        assert isinstance(query.clients, tuple)
-        assert len(query.clients) == len(clients)
+            QueryRequest(clients, fs, objective="furthest")
 
     def test_engine_factory_wires_tree_and_budget(self, office):
         venue, engine, rooms = office
@@ -217,6 +210,6 @@ class TestValidationAndFacade:
         batch = []
         for seed in range(2):
             clients, fs = _workload(venue, rooms, seed, clients=10)
-            batch.append(BatchQuery(clients, fs))
+            batch.append(QueryRequest(clients, fs))
         session.run(batch)
         assert [r.label for r in session.records] == ["q1", "q2"]

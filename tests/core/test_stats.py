@@ -64,4 +64,3 @@ class TestQueryStats:
         stats = QueryStats()
         assert stats.clients_pruned == 0
         assert stats.elapsed_seconds == 0.0
-        assert stats.peak_memory_bytes == 0

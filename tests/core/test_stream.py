@@ -210,6 +210,36 @@ class TestHandleBasics:
         assert stream.stats.events == 0
         assert stream.client_count == 0
 
+    @pytest.mark.parametrize("kind", ["add", "move"])
+    @pytest.mark.parametrize(
+        "incremental", [True, False], ids=["incremental", "oracle"]
+    )
+    def test_unknown_partition_rejected_before_mutation(
+        self, setup, incremental, kind
+    ):
+        venue, engine, fs = setup
+        crowd = make_clients(venue, 9, seed=10)
+        stream = ContinuousQuery(engine, fs, incremental=incremental)
+        stream.apply_batch([ClientEvent.add(c) for c in crowd[:8]])
+        before = stream.answer()
+        client_id = 999 if kind == "add" else crowd[0].client_id
+        stray = Client(client_id, crowd[0].location, 99_999)
+        event = getattr(ClientEvent, kind)(stray)
+        with pytest.raises(
+            QueryError,
+            match=f"client {client_id} in unknown partition 99999",
+        ):
+            stream.apply(event)
+        assert stream.stats.events == 8
+        assert stream.client_count == 8
+        assert stream.answer() == before
+        oracle = ContinuousQuery(engine, fs, incremental=False)
+        want = oracle.apply_batch([ClientEvent.add(c) for c in crowd])[-1]
+        got = stream.apply(ClientEvent.add(crowd[8]))
+        assert got.event_index == 9
+        assert_identical(got, want)
+        assert_identical(stream.recompute(), want)
+
     def test_drain_to_empty_and_refill(self, setup):
         venue, engine, fs = setup
         stream = ContinuousQuery(engine, fs)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import BatchQuery, FacilitySets, IFLSEngine, run_batch_parallel
+from repro import FacilitySets, IFLSEngine, QueryRequest, run_batch_parallel
 from repro.obs import profile as profile_module
 from repro.obs.explain import (
     DISTANCE_COUNTER_KEYS,
@@ -250,7 +250,7 @@ class TestSessionAndParallel:
         batch = []
         for i in range(count):
             batch.append(
-                BatchQuery(
+                QueryRequest(
                     tuple(make_clients(venue, 20, seed=20 + i)),
                     facilities,
                     objective=("minmax", "mindist")[i % 2],

@@ -9,9 +9,9 @@ deterministic totals as a serial run.
 import pytest
 
 from repro import (
-    BatchQuery,
     IFLSEngine,
     MetricsRegistry,
+    QueryRequest,
     QuerySession,
     Tracer,
     observe,
@@ -135,7 +135,7 @@ class TestSessionIntegration:
 class TestParallelIntegration:
     def _batch(self, clients, facilities, size=4):
         return [
-            BatchQuery(clients, facilities, label=f"q{i}")
+            QueryRequest(clients, facilities, label=f"q{i}")
             for i in range(size)
         ]
 

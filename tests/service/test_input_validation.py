@@ -1,4 +1,4 @@
-"""Duplicate client ids and non-finite coordinates over the wire.
+"""Bad query and stream inputs over the wire.
 
 Each write path (``/query``, ``/batch``, ``/stream/<id>/events``)
 must answer 400 before any solver runs: a bad query never joins a
@@ -85,19 +85,40 @@ def test_batch_rejected_with_400(harness, good, case):
     assert body["error"] == "ProtocolError"
 
 
+def with_unknown_client_partition(payload):
+    bad = dict(payload)
+    bad["clients"] = [dict(c) for c in payload["clients"]]
+    bad["clients"][0]["partition"] = 99_999
+    return bad
+
+
+#: Requests that decode but break an IFLS input rule of the venue.
+CO_BATCHED_BAD = {
+    "duplicate-id": with_duplicate_id,
+    "unknown-candidate": lambda p: dict(
+        p, candidates=p["candidates"] + [99_999]
+    ),
+    "unknown-client-partition": with_unknown_client_partition,
+    "empty-candidates": lambda p: dict(p, candidates=[]),
+    "empty-clients": lambda p: dict(p, clients=[]),
+}
+
+
 def test_bad_query_does_not_fail_a_co_batched_stranger(harness, good):
-    bad = with_duplicate_id(good)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        outcomes = list(
-            pool.map(
-                lambda body: harness.request("POST", "/query", body),
-                [good, bad, good, bad],
+    for case, make_bad in CO_BATCHED_BAD.items():
+        bad = make_bad(good)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            outcomes = list(
+                pool.map(
+                    lambda body: harness.request("POST", "/query", body),
+                    [good, bad, good, bad],
+                )
             )
-        )
-    assert [status for status, _ in outcomes] == [200, 400, 200, 400]
-    assert outcomes[0][1]["objective_value"] == (
-        outcomes[2][1]["objective_value"]
-    )
+        statuses = [status for status, _ in outcomes]
+        assert statuses == [200, 400, 200, 400], case
+        assert outcomes[0][1]["objective_value"] == (
+            outcomes[2][1]["objective_value"]
+        ), case
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ import threading
 import pytest
 
 from repro import QueryRequest, open_venue
-from repro.core.session import BatchQuery
 from repro.core.stream import ClientEvent
 from repro.obs import trace as trace_module
 from repro.obs.prometheus import lint_exposition
@@ -474,7 +473,7 @@ class TestLibraryCorrelation:
             if p.kind.value == "room"
         ]
         batch = [
-            BatchQuery(
+            QueryRequest(
                 tuple(make_clients(venue, 10, seed=60 + i)),
                 facility_split(rooms, 3, 5, seed=60 + i),
                 objective="minmax",

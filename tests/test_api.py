@@ -6,12 +6,11 @@ import warnings
 import pytest
 
 from repro import (
-    FacilitySets,
     IFLSEngine,
     QueryRequest,
     open_venue,
 )
-from repro.api import BACKENDS, Engine, legacy_facilities
+from repro.api import BACKENDS, Engine
 from repro.errors import QueryError, VenueError
 from repro.indoor.io import save_venue
 from tests.conftest import facility_split, make_clients
@@ -107,23 +106,7 @@ class TestQuery:
     ):
         request = _request(office_venue, rooms)
         with pytest.raises(QueryError):
-            facade.query(request, "minmax")
-
-    def test_legacy_signature_warns_but_answers(
-        self, facade, office_venue, rooms
-    ):
-        request = _request(office_venue, rooms, seed=12)
-        with pytest.warns(DeprecationWarning):
-            legacy = facade.query(
-                request.clients,
-                request.facilities,
-                objective="mindist",
-            )
-        unified = facade.query(
-            _request(office_venue, rooms, seed=12, objective="mindist")
-        )
-        assert legacy.answer == unified.answer
-        assert legacy.objective_value == unified.objective_value
+            facade.query(request.clients)
 
     def test_unified_path_never_warns(
         self, facade, office_venue, rooms
@@ -189,12 +172,6 @@ class TestScopes:
 
 
 class TestHelpers:
-    def test_legacy_facilities_builds_frozensets(self):
-        facilities = legacy_facilities([1, 2], [3])
-        assert facilities == FacilitySets(
-            frozenset({1, 2}), frozenset({3})
-        )
-
     def test_engine_wraps_existing_core(self, office_venue):
         core = IFLSEngine(office_venue)
         facade = Engine(core)

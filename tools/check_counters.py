@@ -78,9 +78,9 @@ if __name__ == "__main__":  # allow running from a source checkout
         sys.path.insert(0, str(_src))
 
 from repro import (  # noqa: E402
-    BatchQuery,
     EfficientOptions,
     IFLSEngine,
+    QueryRequest,
     QueryStats,
     TOP_DOWN,
 )
@@ -248,7 +248,7 @@ def run_checks() -> List[str]:
         for i in range(4):
             batch_rng = random.Random(i)
             batch.append(
-                BatchQuery(
+                QueryRequest(
                     uniform_clients(venue, 30, batch_rng),
                     random_facility_sets(venue, 3, 6, batch_rng),
                     objective=OBJECTIVES[i % len(OBJECTIVES)],
@@ -282,7 +282,7 @@ def run_checks() -> List[str]:
     for i in range(5):
         batch_rng = random.Random(0xFA + i)
         batch.append(
-            BatchQuery(
+            QueryRequest(
                 uniform_clients(venue, 30, batch_rng),
                 random_facility_sets(venue, 3, 6, batch_rng),
             )
@@ -341,7 +341,6 @@ def run_checks() -> List[str]:
     # same identities as a single engine's, equal the sum of the
     # per-response deltas, and answer exactly like the cold engine.
     from repro.api import Engine
-    from repro.core.request import QueryRequest
     from repro.service.pool import SessionPool
 
     facade = Engine(engine)

@@ -22,23 +22,26 @@ OUT = Path(__file__).resolve().parents[1] / "docs" / "API.md"
 # Hand-maintained prose sections are authored HERE (the output file
 # is generated; edits to docs/API.md are overwritten).
 MIGRATION = """\
-## Migrating to the unified query surface (1.6)
+## Migrating to 2.0
 
-`repro.open_venue()` returns an `Engine` whose every answering method
-speaks one `QueryRequest`/`QueryResponse` pair — the same pair the
-`ifls` CLI and the HTTP query service (`repro.service`) use on the
-wire.  The pre-1.6 spellings keep working; deprecated ones emit a
-`DeprecationWarning` naming their replacement.
+2.0 keeps one per-query value, `QueryRequest`.  `Engine.query`,
+`Engine.run`, `QuerySession.run`, `run_batch_parallel` and its worker
+shards, and the query service's flush all take it; nothing converts
+between spellings any more.  The batch executors check every batch
+before a worker starts: an item that is not a `QueryRequest`, or a
+request whose `algorithm` is not `"efficient"`, raises `QueryError`.
+Each name 2.0 removed, with its replacement:
 
-| Pre-1.6 spelling | Unified spelling | Notes |
+| Removed in 2.0 | Replacement | Notes |
 |---|---|---|
-| `IFLSEngine(venue)` | `repro.open_venue(venue)` | `open_venue` also accepts a built-in name (`"CPH"`) or a venue JSON path; the core engine stays available as `Engine.core`. |
-| `engine.query(clients, fs, objective=..., options=EfficientOptions(...))` | `engine.query(QueryRequest(clients=..., facilities=..., objective=..., prune_clients=..., traversal=...))` | `EfficientOptions` fields are flat `QueryRequest` fields; all-default requests take the identical cold path (bit-identical counters). Legacy positional calls on `Engine.query` are shimmed with a `DeprecationWarning`. |
-| `BatchQuery(clients, fs, objective=..., label=...)` | `QueryRequest(clients=..., facilities=..., objective=..., label=...)` | `QuerySession.run` / `run_batch_parallel` accept either type in the same batch. |
-| `run_batch_parallel(engine, batch, workers)` | `engine.run(requests, workers=N)` | Responses follow submission order and carry per-query `distance_delta` ledger slices. |
-| `engine.session(max_cache_entries=...)` | unchanged | Executor-scope knobs (cache budgets, worker counts, record keeping) stay on executors — they describe where a query runs, not what it asks. |
-| `ParallelExecutionError` | unchanged name, now `http_status == 500` | The whole hierarchy roots at `ReproError`; `repro.http_status_for(exc)` is the single exception→HTTP mapping the service uses. |
-| *(new)* | `QueryRequest.timeout_seconds`, `QueryRequest.explain` | Honoured by the query service only: HTTP 504 past the deadline; `explain=True` stores an EXPLAIN report retrievable at `GET /explain/<id>`. |
+| `BatchQuery(clients, fs, objective=..., label=...)` | `QueryRequest(clients, fs, objective=..., label=...)` | Same positional `clients, facilities` and keywords. `BatchQuery(..., options=EfficientOptions(...))` becomes the flat `prune_clients` / `group_by_partition` / `traversal` / `use_kernels` fields. |
+| `Engine.query(clients, fs, objective=..., ...)` | `Engine.query(QueryRequest(clients, fs, objective=..., ...))` | `Engine.query` takes exactly one `QueryRequest`; anything else raises `QueryError`. `IFLSEngine.query(clients, fs, ...)` is unchanged. |
+| `QueryRequest.from_legacy(clients, fs, options=...)` | `QueryRequest(clients, fs, ...)` | `EfficientOptions` fields are flat `QueryRequest` fields. |
+| `QueryRequest.to_batch_query()`, `repro.core.request.as_batch_queries(batch)` | pass the `QueryRequest` list to the executor | The executors run the batch check themselves (`repro.core.session.check_batch`). |
+| `repro.core.request.warn_legacy_call` | none | No deprecation shims remain. |
+| `repro.api.legacy_facilities(existing, candidates)` | `FacilitySets(frozenset(existing), frozenset(candidates))` | |
+| `measure_memory=` on `IFLSEngine.query`, `EfficientOptions`, `QueryRequest`, `modified_minmax` and `measured_query` | wrap the call in `tracemalloc`, as `repro.bench.measure.measure_query` does | No solver path starts `tracemalloc` any more. |
+| `QueryStats.peak_memory_bytes` | `tracemalloc.get_traced_memory()` read around the call | Nothing set it once the knob went; `QueryStats.merge` lost its max rule with it. |
 """
 
 
