@@ -112,7 +112,7 @@ from .obs import (
     observe,
 )
 
-__version__ = "2.0.0"
+__version__ = "2.1.0"
 
 __all__ = [
     "BACKENDS",

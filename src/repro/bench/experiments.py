@@ -21,6 +21,7 @@ import random
 import time
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..core.efficient import (
@@ -37,7 +38,7 @@ from ..datasets.workloads import (
     uniform_clients,
 )
 from ..indoor.entities import FacilitySets
-from .measure import Measurement, measure_query
+from .measure import Measurement, measure_query, traced_peak
 
 def _seed(*parts: object) -> int:
     """Deterministic cross-process seed (``hash()`` is salted)."""
@@ -379,10 +380,11 @@ def ablations(
     cache: Optional[EngineCache] = None,
     venue_name: str = MC,
 ) -> List[Row]:
-    """Efficient-approach variants with individual optimisations off."""
-    import time as _time
-    import tracemalloc
+    """Efficient-approach variants with individual optimisations off.
 
+    Each repetition times a cold solve untraced, then takes its peak
+    memory from a second cold solve under ``tracemalloc``.
+    """
     from ..core.problem import IFLSProblem
     from ..index.distance import VIPDistanceEngine
 
@@ -401,15 +403,16 @@ def ablations(
         memories: List[float] = []
         objective = None
         for _ in range(scale.repeats):
-            distances = VIPDistanceEngine(engine.tree)
-            problem = IFLSProblem(distances, clients, facilities)
-            tracemalloc.start()
-            started = _time.perf_counter()
+            problem = IFLSProblem(
+                VIPDistanceEngine(engine.tree), clients, facilities
+            )
+            started = time.perf_counter()
             result = efficient_minmax(problem, options)
-            elapsed = _time.perf_counter() - started
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            times.append(elapsed)
+            times.append(time.perf_counter() - started)
+            problem = IFLSProblem(
+                VIPDistanceEngine(engine.tree), clients, facilities
+            )
+            peak = traced_peak(partial(efficient_minmax, problem, options))
             memories.append(peak / (1024 * 1024))
             objective = result.objective
         rows.append(

@@ -6,6 +6,10 @@ clock around the algorithm only (index construction is offline); memory
 is the peak traced allocation during the query (``tracemalloc``),
 covering the algorithm's working state and the per-query distance
 caches, which is what the paper's per-query memory cost captures.
+
+The two come from separate passes over the same inputs: ``tracemalloc``
+hooks every allocation and slows algorithms by different factors, so a
+timer inside it would distort the ratios between them.
 """
 
 from __future__ import annotations
@@ -61,30 +65,42 @@ def measure_query(
     """Run one query configuration ``repeats`` times, cold each time.
 
     Every repetition uses a fresh distance engine (``cold=True``) so
-    repeated runs measure the same work instead of cache hits.
+    repeated runs measure the same work instead of cache hits.  Each
+    repetition is timed untraced; with ``measure_memory`` its peak comes
+    from a second, traced run of the same query (0 otherwise).
     """
+
+    def run() -> IFLSResult:
+        return engine.query(
+            clients,
+            facilities,
+            objective=objective,
+            algorithm=algorithm,
+            cold=True,
+        )
+
     out = Measurement(label=algorithm)
     for _ in range(repeats):
-        if measure_memory:
-            tracemalloc.start()
         started = time.perf_counter()
-        try:
-            result = engine.query(
-                clients,
-                facilities,
-                objective=objective,
-                algorithm=algorithm,
-                cold=True,
-            )
-        finally:
-            if measure_memory:
-                _, peak = tracemalloc.get_traced_memory()
-                tracemalloc.stop()
-            else:
-                peak = 0
+        result = run()
         elapsed = time.perf_counter() - started
+        peak = traced_peak(run) if measure_memory else 0
         out.add(result, elapsed, peak)
     return out
+
+
+def traced_peak(fn: Callable[[], object]) -> int:
+    """Peak traced allocation (bytes) of one call of ``fn``.
+
+    The memory pass of a measurement: never time a call made here.
+    """
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def compare(

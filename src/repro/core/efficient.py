@@ -53,6 +53,7 @@ from typing import (
 from ..errors import QueryError, UnreachableFacilityError
 from ..indoor.entities import Client, PartitionId
 from ..index.distance import VIPDistanceEngine
+from ..index.node import VIPNode
 from ..obs import profile as _profile
 from ..obs import trace as _trace
 from .problem import IFLSProblem
@@ -133,11 +134,6 @@ class _Group:
         if self.arrays is not None:
             self.arrays.mark_pruned(client_id)
 
-    @property
-    def active_count(self) -> int:
-        """Clients not yet pruned."""
-        return len(self.clients) - len(self.pruned)
-
 
 class FacilityStream:
     """Incremental all-clients nearest-facility retrieval (Algorithm 3).
@@ -181,32 +177,38 @@ class FacilityStream:
         self._profiler = _profile.active()
         self._tie = itertools.count()
         self._queue: List[Tuple[float, int, int, int, int]] = []
-        self._visited: List[Set[Tuple[int, int]]] = [
-            set() for _ in groups
-        ]
+        # Node ids each group has enqueued.  Facilities need no marker:
+        # a leaf is expanded at most once per group and a partition
+        # sits in exactly one leaf, so each facility is pushed at most
+        # once per group.
+        self._visited: List[Set[int]] = [set() for _ in groups]
         for index, group in enumerate(groups):
             if traversal == BOTTOM_UP:
                 seed = self.tree.leaf_of(group.partition_id)
             else:
                 seed = self.tree.root
-            self._push(index, _ENTITY_NODE, seed.node_id, lambda: 0.0)
+            self._visited[index].add(seed.node_id)
+            heapq.heappush(
+                self._queue,
+                (0.0, next(self._tie), index, _ENTITY_NODE, seed.node_id),
+            )
+            self.stats.queue_pushes += 1
 
-    def _push(
-        self, group_index: int, entity: int, ident: int, key_fn
+    def _push_node(
+        self, group_index: int, partition_id: PartitionId, node: VIPNode
     ) -> None:
-        """Enqueue once per (group, entity); the bound is computed
-        lazily so already-visited entities cost one set lookup."""
-        marker = (entity, ident)
+        """Enqueue a node once per group under its ``iMinD`` bound; an
+        already-visited node costs one set lookup and no bound."""
         visited = self._visited[group_index]
-        if marker in visited:
+        if node.node_id in visited:
             return
-        key = key_fn()
+        key = self.engine.imind_node(partition_id, node)
         if key == INFINITY:
             return
-        visited.add(marker)
+        visited.add(node.node_id)
         heapq.heappush(
             self._queue,
-            (key, next(self._tie), group_index, entity, ident),
+            (key, next(self._tie), group_index, _ENTITY_NODE, node.node_id),
         )
         self.stats.queue_pushes += 1
 
@@ -314,35 +316,28 @@ class FacilityStream:
             )
         partition_id = group.partition_id
         if node.parent_id is not None:
-            parent = self.tree.node(node.parent_id)
-            self._push(
-                group_index,
-                _ENTITY_NODE,
-                parent.node_id,
-                lambda: self.engine.imind_node(partition_id, parent),
+            self._push_node(
+                group_index, partition_id, self.tree.node(node.parent_id)
             )
         if node.is_leaf:
-            for pid in node.partitions:
-                if pid == partition_id or pid not in self.facilities:
-                    continue
-                self._push(
-                    group_index,
-                    _ENTITY_FACILITY,
-                    pid,
-                    lambda pid=pid: self.engine.imind_partitions(
-                        partition_id, pid
-                    ),
-                )
+            # One engine call bounds every facility of the leaf.
+            queue = self._queue
+            tie = self._tie
+            pushed = 0
+            for pid, bound in self.engine.imind_leaf(
+                partition_id, node, self.facilities
+            ):
+                if bound != INFINITY:
+                    heapq.heappush(
+                        queue,
+                        (bound, next(tie), group_index, _ENTITY_FACILITY, pid),
+                    )
+                    pushed += 1
+            self.stats.queue_pushes += pushed
         else:
             for child_id in node.child_node_ids:
-                child = self.tree.node(child_id)
-                self._push(
-                    group_index,
-                    _ENTITY_NODE,
-                    child_id,
-                    lambda child=child: self.engine.imind_node(
-                        partition_id, child
-                    ),
+                self._push_node(
+                    group_index, partition_id, self.tree.node(child_id)
                 )
         return key, []
 

@@ -35,18 +35,22 @@ see :mod:`repro.index.kernels`) the engine resolves the *inner door
 loops* of ``imind_partitions`` / ``imind_node`` through dense-array
 reductions and exposes batch entry points (:meth:`idist_many`,
 :meth:`door_to_door_many`, :meth:`imind_node_many`) that answer whole
-client groups per call.  Values are bit-identical to the scalar path;
-counters stay ledger-consistent, with bulk increments: a kernelised
-``imind_partitions`` miss counts its full door-pair block as
-``d2d_lookups`` (no per-pair memo traffic), and every array reduction
-counts one ``kernel_batches``.
+client groups per call, plus :meth:`imind_leaf`, which bounds every
+facility of a VIP-tree leaf from one cached pack row.  Values are
+bit-identical to the scalar path; counters stay ledger-consistent,
+with bulk increments: a kernelised ``imind_partitions`` miss counts
+its full door-pair block as ``d2d_lookups`` (no per-pair memo
+traffic), every array reduction counts one ``kernel_batches``, and
+:meth:`imind_leaf` counts each ``iMinD`` miss (one batch included)
+exactly as the per-pair call would, although one row answered them
+all.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Container, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import QueryError
 from ..indoor.entities import Client, PartitionId
@@ -344,6 +348,70 @@ class VIPDistanceEngine:
         if self.memoize:
             self._store(self._imind_pp, key, best)
         return best
+
+    def imind_leaf(
+        self,
+        partition_id: PartitionId,
+        leaf: VIPNode,
+        facilities: Container[PartitionId],
+    ) -> List[Tuple[PartitionId, float]]:
+        """``(q, iMinD(partition, q))`` for the leaf's facilities.
+
+        Covers every partition ``q`` of ``leaf`` that is in
+        ``facilities`` and is not ``partition_id``, in leaf order —
+        Algorithm 3's expansion of a popped leaf.  Memo traffic and
+        every counter move exactly as one :meth:`imind_partitions` call
+        per ``q`` would: the ``_imind_pp`` memo is probed, then stored,
+        pair by pair (so a budget evicts in the same order), and a miss
+        still counts one ``distance_computations``, its door-pair block
+        as ``d2d_lookups`` and one ``kernel_batches``, although the
+        pack answered the whole leaf with one cached reduction
+        (:meth:`~repro.index.kernels.KernelPack.leaf_row`).  Without a
+        pack this is that per-pair loop (the scalar oracle).
+        """
+        pack = self._pack
+        if pack is None:
+            return [
+                (pid, self.imind_partitions(partition_id, pid))
+                for pid in leaf.partitions
+                if pid != partition_id and pid in facilities
+            ]
+        layout = pack.leaf_layout(leaf)
+        bounds = pack.leaf_row(partition_id, leaf)
+        memo = self._imind_pp if self.memoize else None
+        budget = self.max_cache_entries
+        out: List[Tuple[PartitionId, float]] = []
+        hits = misses = missed_doors = 0
+        for index, pid in enumerate(layout.partitions):
+            if pid == partition_id or pid not in facilities:
+                continue
+            key = (
+                (partition_id, pid)
+                if partition_id <= pid
+                else (pid, partition_id)
+            )
+            if memo is not None:
+                cached = memo.get(key)
+                if cached is not None:
+                    hits += 1
+                    out.append((pid, cached))
+                    continue
+            best = bounds[index]
+            misses += 1
+            missed_doors += layout.counts[index]
+            if memo is not None:
+                if budget is None:
+                    memo[key] = best
+                else:
+                    self._store(memo, key, best)
+            out.append((pid, best))
+        stats = self.stats
+        stats.imind_calls += hits + misses
+        stats.imind_cache_hits += hits
+        stats.distance_computations += misses
+        stats.d2d_lookups += len(self._doors(partition_id)) * missed_doors
+        stats.kernel_batches += misses
+        return out
 
     def imind_node(self, partition_id: PartitionId, node: VIPNode) -> float:
         """``iMinD`` from a partition to a VIP-tree node.

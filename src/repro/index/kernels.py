@@ -17,9 +17,8 @@ client group (or candidate set) per call:
 * :class:`GroupArrays` — per-group client state for the solvers: the
   clients' intra-partition offsets to their exit doors as one
   ``(clients, exit_doors)`` matrix (the paper's ``d(c, d_i)`` terms,
-  computed once per group instead of once per facility retrieval), the
-  Lemma 5.1 pruned mask as a boolean array, and the running
-  nearest-existing bounds ``de(c)`` as a parallel ``float64`` array.
+  computed once per group instead of once per facility retrieval) and
+  the Lemma 5.1 pruned mask.
 
 Every kernel computes exactly the same IEEE-754 values as the scalar
 path: the candidate sets are identical and only ``min`` reductions and
@@ -164,9 +163,10 @@ class KernelPack:
         # the tree's matrices (no query state), so — like ``R`` itself —
         # they are shared by all engines on the tree and live for the
         # pack's lifetime; ``VIPTree.invalidate_kernels`` drops the
-        # whole pack.  Bounded by |partitions|^2 floats, |partitions| x
-        # |nodes| floats, and |partitions|^2 short vectors.
-        self._pair_min: Dict[Tuple[PartitionId, PartitionId], float] = {}
+        # whole pack.  Bounded by |partitions| x |nodes| floats,
+        # |partitions|^2 short vectors, and for the leaf rows at most
+        # |partitions| floats per partition (a partition sits in
+        # exactly one leaf) plus one layout per leaf.
         self._node_min: Dict[Tuple[PartitionId, int], float] = {}
         self._exit_mins: Dict[
             Tuple[PartitionId, PartitionId], "_np.ndarray"
@@ -174,6 +174,8 @@ class KernelPack:
         self._exit_mins_list: Dict[
             Tuple[PartitionId, PartitionId], List[float]
         ] = {}
+        self._leaf_layouts: Dict[int, LeafLayout] = {}
+        self._leaf_rows: Dict[Tuple[PartitionId, int], List[float]] = {}
 
     def _build_general_rows(
         self, tree: "VIPTree", matrix: "_np.ndarray"
@@ -323,19 +325,16 @@ class KernelPack:
     def partition_pair_min(
         self, a: PartitionId, b: PartitionId
     ) -> float:
-        """Min door-pair distance between two partitions (cached).
+        """Min door-pair distance between partitions ``a != b``.
 
-        Exactly ``d2d_block(doors(a), doors(b)).min()`` — the
-        kernelized ``iMinD`` partition-pair reduction — memoised under
-        an ordered key (door distances are symmetric).
+        Exactly ``d2d_block(doors(lo), doors(hi)).min()`` for the
+        ordered pair ``lo < hi`` — the kernelized ``iMinD``
+        partition-pair reduction, the same value whichever way round it
+        is asked — read from ``a``'s :meth:`leaf_row` against ``b``'s
+        leaf, so pairwise lookups and leaf expansions share one cache.
         """
-        key = (a, b) if a <= b else (b, a)
-        best = self._pair_min.get(key)
-        if best is None:
-            mins = self.exit_door_mins(key[0], key[1])
-            best = float(mins.min()) if mins.size else INFINITY
-            self._pair_min[key] = best
-        return best
+        leaf = self.tree.leaf_of(b)
+        return self.leaf_row(a, leaf)[self.leaf_layout(leaf).slot[b]]
 
     def exit_door_mins(
         self, source: PartitionId, target: PartitionId
@@ -390,6 +389,96 @@ class KernelPack:
             self._part_rows[partition_id] = rows
         return rows
 
+    def leaf_layout(self, leaf: "VIPNode") -> "LeafLayout":
+        """Door layout of one leaf's partitions, in leaf order (cached)."""
+        layout = self._leaf_layouts.get(leaf.node_id)
+        if layout is None:
+            layout = LeafLayout(self, leaf.partitions)
+            self._leaf_layouts[leaf.node_id] = layout
+        return layout
+
+    def leaf_row(
+        self, partition_id: PartitionId, leaf: "VIPNode"
+    ) -> List[float]:
+        """``iMinD(partition, q)`` for every partition ``q`` of ``leaf``.
+
+        One numpy pass per ``(partition, leaf)``, cached as plain floats
+        in leaf order (``0.0`` at the partition's own slot).  The
+        pairwise ``iMinD`` reduces from the smaller id's side, and ``F``
+        is not exactly symmetric on every venue (last-bit differences
+        from the matrix build), so ``q > p`` reduces the forward block
+        ``F[rows(p), cols(q)]`` and ``q < p`` the backward block
+        ``F[rows(q), cols(p)]``: entry ``q`` is then a ``min`` over the
+        same door-pair set whichever of ``p``, ``q`` asks, which ``min``
+        makes exact.
+        """
+        key = (partition_id, leaf.node_id)
+        row = self._leaf_rows.get(key)
+        if row is not None:
+            return row
+        layout = self.leaf_layout(leaf)
+        row = [INFINITY] * len(layout.partitions)
+        if layout.starts:
+            size = layout.cols.size
+            fwd = bwd = _np.full(size, INFINITY, dtype=_np.float64)
+            rows_p = self.partition_rows(partition_id)
+            cols_p = self.partition_cols(partition_id)
+            if rows_p.size:
+                fwd = self.F[rows_p[:, None], layout.cols].min(axis=0)
+            if cols_p.size:
+                bwd = self.F[layout.rows[:, None], cols_p].min(axis=1)
+            per_door = _np.where(layout.owner > partition_id, fwd, bwd)
+            mins = _np.minimum.reduceat(per_door, layout.starts)
+            for index, best in zip(layout.segments, mins.tolist()):
+                row[index] = best
+        own = layout.slot.get(partition_id)
+        if own is not None:
+            row[own] = 0.0
+        self._leaf_rows[key] = row
+        return row
+
+
+class LeafLayout:
+    """The doors of one leaf's partitions, concatenated in leaf order.
+
+    ``rows`` / ``cols`` are the doors' ``F`` row and column indices,
+    partition after partition, and ``owner`` the partition id of each
+    door slot; ``counts`` is each partition's door count and ``slot``
+    maps a partition id to its index in ``partitions``.  Partitions
+    with doors own the segments starting at ``starts`` (their slots in
+    ``partitions`` are ``segments``), the index list
+    ``numpy.minimum.reduceat`` takes — a door-less partition has no
+    segment, its ``iMinD`` stays ``inf``.
+    """
+
+    __slots__ = (
+        "partitions", "slot", "counts", "rows", "cols", "owner",
+        "segments", "starts",
+    )
+
+    def __init__(
+        self, pack: KernelPack, partitions: Tuple[PartitionId, ...]
+    ) -> None:
+        self.partitions = partitions
+        self.slot = {pid: index for index, pid in enumerate(partitions)}
+        cols = [pack.partition_cols(pid) for pid in partitions]
+        self.counts: List[int] = [len(c) for c in cols]
+        self.cols = _np.concatenate(cols).astype(_np.intp)
+        self.rows = _np.concatenate(
+            [pack.partition_rows(pid) for pid in partitions]
+        )
+        self.owner = _np.repeat(
+            _np.array(partitions, dtype=_np.int64), self.counts
+        )
+        self.segments: List[int] = []
+        self.starts: List[int] = []
+        start = 0
+        for index, count in enumerate(self.counts):
+            if count:
+                self.segments.append(index)
+                self.starts.append(start)
+            start += count
+
 
 class GroupArrays:
     """Array-laid per-group client state for the solver hot loop.
@@ -401,19 +490,16 @@ class GroupArrays:
       (dense float64; :meth:`offset_lists` mirrors it as plain floats
       for the solver's small-group lane);
     * ``mask`` — "still active" flags (Lemma 5.1 pruning flips entries
-      to ``False``; the surviving rows are cached between prunes);
-    * ``de_bound`` — running nearest-existing-facility distance per
-      client.
+      to ``False``; the surviving rows are cached between prunes).
 
-    ``mask`` and ``de_bound`` are plain Python lists on purpose: the
-    solver dequeues groups of a handful of clients, where list updates
-    are cheaper than numpy constructor/dispatch overhead, and the dense
-    work already happens against ``offsets`` and the pack's memoised
-    reductions.
+    ``mask`` is a plain Python list on purpose: the solver dequeues
+    groups of a handful of clients, where list updates are cheaper than
+    numpy constructor/dispatch overhead, and the dense work already
+    happens against ``offsets`` and the pack's memoised reductions.
     """
 
     __slots__ = (
-        "partition_id", "exit_doors", "mask", "de_bound",
+        "partition_id", "exit_doors", "mask",
         "_index_of", "_active_rows", "_active_list",
         "_offsets_nd", "_offset_lists",
     )
@@ -436,9 +522,7 @@ class GroupArrays:
         else:
             self._offsets_nd = offsets
             self._offset_lists = None
-        size = len(clients)
-        self.mask: List[bool] = [True] * size
-        self.de_bound: List[float] = [INFINITY] * size
+        self.mask: List[bool] = [True] * len(clients)
         self._index_of = {
             client.client_id: index
             for index, client in enumerate(clients)
@@ -511,24 +595,6 @@ class GroupArrays:
             self._offset_lists = out
         return out
 
-    def tighten_de(self, rows: "_np.ndarray", dists: "_np.ndarray") -> None:
-        """``de(c) = min(de(c), dist)`` over one dequeue's rows."""
-        de = self.de_bound
-        for index, dist in zip(rows, dists):
-            index = int(index)
-            if dist < de[index]:
-                de[index] = float(dist)
-
-    def lemma51_rows(self, bound: float) -> "_np.ndarray":
-        """Active rows whose ``de(c) <= bound`` (prunable, Lemma 5.1)."""
-        de = self.de_bound
-        rows = [
-            index
-            for index, active in enumerate(self.mask)
-            if active and de[index] <= bound
-        ]
-        return _np.fromiter(rows, dtype=_np.intp, count=len(rows))
-
     def compact(self, clients: Sequence[Client]) -> None:
         """Re-align the arrays after the group's lazy client compaction.
 
@@ -539,8 +605,6 @@ class GroupArrays:
         lists = self.offset_lists()
         self._offset_lists = [lists[index] for index in keep]
         self._offsets_nd = None
-        de = self.de_bound
-        self.de_bound = [de[index] for index in keep]
         self.mask = [True] * len(keep)
         self._index_of = {
             client.client_id: index
@@ -591,30 +655,13 @@ def group_offset_rows(
     ]
 
 
-def group_offsets(
-    venue,
-    partition_id: PartitionId,
-    exit_doors: Tuple[DoorId, ...],
-    door_locations: Dict[DoorId, object],
-    clients: Sequence[Client],
-) -> "_np.ndarray":
-    """``(clients, exit_doors)`` intra-partition offset matrix."""
-    rows = group_offset_rows(
-        venue, partition_id, exit_doors, door_locations, clients
-    )
-    offsets = _np.array(rows, dtype=_np.float64)
-    if not rows:
-        offsets = offsets.reshape(0, len(exit_doors))
-    return offsets
-
-
 __all__: List[str] = [
     "ENV_FLAG",
     "GroupArrays",
     "KernelPack",
+    "LeafLayout",
     "available",
     "build_pack",
     "default_enabled",
     "group_offset_rows",
-    "group_offsets",
 ]

@@ -7,13 +7,14 @@ order, so exact equality is the contract, not a lucky outcome.
 """
 
 import pickle
+import random
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
 from repro import VIPTree  # noqa: E402
-from repro.datasets import small_office  # noqa: E402
+from repro.datasets import small_office, venue_by_name  # noqa: E402
 from repro.errors import IndexError_, QueryError  # noqa: E402
 from repro.index import kernels  # noqa: E402
 from repro.index.distance import VIPDistanceEngine  # noqa: E402
@@ -202,25 +203,10 @@ class TestGroupArrays:
             range(1, len(clients))
         )
 
-    def test_tighten_and_lemma51_rows(self, setup):
-        _, _, clients, arrays = self._arrays(setup)
-        rows = arrays.active_rows()
-        arrays.tighten_de(rows, np.full(len(rows), 5.0))
-        arrays.tighten_de(rows[:1], np.array([2.0]))
-        assert list(arrays.lemma51_rows(1.0)) == []
-        assert list(arrays.lemma51_rows(2.0)) == [0]
-        assert list(arrays.lemma51_rows(5.0)) == list(rows)
-        arrays.mask[0] = False
-        assert 0 not in arrays.lemma51_rows(5.0)
-
     def test_compact_realigns_rows(self, setup):
         _, _, clients, arrays = self._arrays(setup)
         if len(clients) < 3:
             pytest.skip("needs a group of at least 3 clients")
-        arrays.tighten_de(
-            arrays.active_rows(),
-            np.arange(len(clients), dtype=np.float64),
-        )
         victim = clients[1]
         arrays.mark_pruned(victim.client_id)
         survivors = [c for c in clients if c is not victim]
@@ -228,9 +214,6 @@ class TestGroupArrays:
         arrays.compact(survivors)
         assert arrays.offsets.shape[0] == len(survivors)
         assert np.array_equal(arrays.offsets, before)
-        assert list(arrays.de_bound) == [
-            float(i) for i in range(len(clients)) if i != 1
-        ]
         assert list(arrays.active_rows()) == list(
             range(len(survivors))
         )
@@ -289,6 +272,49 @@ class TestDerivedReductions:
                 assert pack.partition_pair_min(a, b) == (
                     scalar.imind_partitions(a, b)
                 ), (a, b)
+
+
+def _pair_min(pack, p, q):
+    """The pairwise reduction: ``F[rows(lo), cols(hi)]``, ``lo < hi``."""
+    if p == q:
+        return 0.0
+    mins = pack.exit_door_mins(min(p, q), max(p, q))
+    return float(mins.min()) if mins.size else float("inf")
+
+
+def _assert_leaf_rows_match_pairs(tree, sources):
+    """Every leaf row of each source equals the pairwise reduction,
+    compared as hex strings (bit identity, not ``==``)."""
+    pack = tree.kernels()
+    leaves = list(tree.leaves())
+    for p in sources:
+        for leaf in leaves:
+            got = [best.hex() for best in pack.leaf_row(p, leaf)]
+            want = [_pair_min(pack, p, q).hex() for q in leaf.partitions]
+            assert got == want, (p, leaf.node_id)
+            assert got == [
+                (0.0 if q == p else pack.partition_pair_min(q, p)).hex()
+                for q in leaf.partitions
+            ], (p, leaf.node_id)
+
+
+class TestLeafRows:
+    """CH, MZB and CPH door matrices differ from their transposes in
+    the last bits; a one-sided gather would break bit identity."""
+
+    def test_every_leaf_row_on_cph(self):
+        tree = VIPTree(venue_by_name("CPH"))
+        pack = tree.kernels()
+        assert not np.array_equal(pack.F, pack.F.T)
+        sources = sorted(tree.venue.partition_ids())
+        _assert_leaf_rows_match_pairs(tree, sources)
+
+    def test_sampled_leaf_rows_on_ch(self):
+        tree = VIPTree(venue_by_name("CH"))
+        sources = random.Random(18).sample(
+            sorted(tree.venue.partition_ids()), 40
+        )
+        _assert_leaf_rows_match_pairs(tree, sources)
 
 
 class TestValueLanes:
