@@ -27,8 +27,8 @@ API, the ``ifls`` CLI, and the HTTP query service
 :class:`QueryRequest`/:class:`QueryResponse` pair, and every batch
 executor (:class:`QuerySession`, :func:`run_batch_parallel`) takes
 lists of :class:`QueryRequest`.  :class:`IFLSEngine` stays the
-raw-result core engine under :class:`Engine`; see "Migrating to 2.0"
-in ``docs/API.md`` for the names 2.0 removed.
+raw-result core engine under :class:`Engine`; see "Migrating to 3.0"
+and "Migrating to 2.0" in ``docs/API.md`` for the names each removed.
 
 Observability: wrap any of the above in :func:`repro.obs.observe` to
 collect a span trace and a metrics snapshot (zero overhead when not
@@ -48,7 +48,6 @@ from .core import (
     TOP_DOWN,
     ClientEvent,
     ContinuousQuery,
-    DynamicIFLSSession,
     EfficientOptions,
     IndexSnapshot,
     MovingClientSimulator,
@@ -112,7 +111,7 @@ from .obs import (
     observe,
 )
 
-__version__ = "2.1.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "BACKENDS",
@@ -124,7 +123,6 @@ __all__ = [
     "ContinuousQuery",
     "DisconnectedVenueError",
     "DistanceService",
-    "DynamicIFLSSession",
     "Door",
     "DoorGraph",
     "EFFICIENT",

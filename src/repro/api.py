@@ -21,8 +21,9 @@ the HTTP query service — speaks the same
 and the session and parallel executors take lists of them: one query
 value travels from the wire to the worker shard.  The raw-result core
 engine (:class:`~repro.core.queries.IFLSEngine`) stays available as
-:attr:`Engine.core`.  The names 2.0 removed, with their replacements,
-are listed under "Migrating to 2.0" in ``docs/API.md``.
+:attr:`Engine.core`.  The names 2.0 and 3.0 removed, with their
+replacements, are listed under "Migrating to 2.0" and "Migrating to
+3.0" in ``docs/API.md``.
 
 Backends
 --------
@@ -196,10 +197,6 @@ class Engine:
             request = replace(
                 request, request_id=_trace.next_request_id("q")
             )
-        import time as _time
-
-        before = self.core.distances.stats.snapshot()
-        started = _time.perf_counter()
         result = self.core.query(
             request.clients,
             request.facilities,
@@ -207,18 +204,7 @@ class Engine:
             algorithm=request.algorithm,
             options=request.options(),
         )
-        elapsed = _time.perf_counter() - started
-        after = self.core.distances.stats.snapshot()
-        delta = {
-            key: value - before.get(key, 0)
-            for key, value in after.items()
-        }
-        return QueryResponse.from_result(
-            result,
-            request,
-            elapsed_seconds=elapsed,
-            distance_delta=delta,
-        )
+        return QueryResponse.from_result(result, request)
 
     def run(
         self,
@@ -234,29 +220,15 @@ class Engine:
         """
         self._require_query_backend()
         session = self.core.session(
-            max_cache_entries=max_cache_entries
+            max_cache_entries=max_cache_entries, keep_records=False
         )
         results = session.run(list(requests), workers=workers)
-        records = session.take_records()
-        responses = []
-        for index, (request, result) in enumerate(
-            zip(requests, results)
-        ):
-            record = records[index] if index < len(records) else None
-            responses.append(
-                QueryResponse.from_result(
-                    result,
-                    request,
-                    elapsed_seconds=(
-                        record.elapsed_seconds if record else 0.0
-                    ),
-                    distance_delta=(
-                        dict(record.distance_delta) if record else {}
-                    ),
-                    index=index,
-                )
+        return [
+            QueryResponse.from_result(result, request, index=index)
+            for index, (request, result) in enumerate(
+                zip(requests, results)
             )
-        return responses
+        ]
 
     def explain(self, request: QueryRequest, cold: bool = True):
         """Profile one request under the EXPLAIN profiler."""

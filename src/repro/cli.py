@@ -282,7 +282,12 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     print(f"venue:      {venue.name} ({venue.partition_count} partitions)")
     print(f"facilities: |Fe|={fe} |Fn|={fn} seed={args.seed}")
     print(f"events:     {len(events)} from {source}")
-    print(f"mode:       {'oracle (full recompute per event)' if args.oracle else 'incremental'} "
+    mode = (
+        "oracle (full recompute per event)"
+        if args.oracle
+        else "incremental"
+    )
+    print(f"mode:       {mode} "
           f"(kernels {'on' if engine.use_kernels else 'off'})")
     print(f"time:       {elapsed:.3f}s total, {rate:.0f} events/s")
     print(f"answers:    skipped={stats.skips} "

@@ -6,7 +6,6 @@ from .bruteforce import (
     brute_force_mindist,
     brute_force_minmax,
 )
-from .dynamic import DynamicIFLSSession
 from .efficient import (
     BOTTOM_UP,
     TOP_DOWN,
@@ -67,7 +66,6 @@ __all__ = [
     "read_events",
     "synthetic_events",
     "write_events",
-    "DynamicIFLSSession",
     "QuerySession",
     "SessionQueryRecord",
     "SessionReport",

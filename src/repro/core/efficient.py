@@ -29,8 +29,9 @@ pruning for MinMax, MinDist and MaxSum alike; each objective supplies
 only its bookkeeping behind the :class:`ObjectiveState` protocol
 (:class:`_MinMaxState` here, the other two in :mod:`repro.core.mindist`
 and :mod:`repro.core.maxsum`).  :func:`measured_query` is the timing,
-span and metrics wrapper every efficient objective and the baseline
-answer through.
+span and metrics wrapper every efficient objective, the baseline and
+the brute-force oracle answer through: the one place a query's wall
+time and distance-counter delta are taken.
 """
 
 from __future__ import annotations
@@ -574,10 +575,12 @@ def measured_query(
 ) -> IFLSResult:
     """Run ``solve`` as one measured ``query.<algorithm>.<objective>``.
 
-    The one wrapper around every efficient objective and the baseline:
-    it opens the query span, times the solve, adds the distance
-    engine's counter movement to the result's :class:`QueryStats`, and
-    publishes the query metrics.
+    The one wrapper around every solver (efficient objectives, the
+    baseline and the brute-force oracle), and the only code that times
+    a query: it opens the query span, times the solve, adds the
+    distance engine's counter movement and the elapsed time to
+    ``result.stats``, and publishes the query metrics.  ``solve`` gets
+    a fresh :class:`QueryStats` to fill; the oracle builds its own.
     """
     engine = problem.engine
     stats = QueryStats(
@@ -592,8 +595,8 @@ def measured_query(
         clients=len(problem.clients),
     ):
         result = solve(stats)
-    stats.add_engine_delta(before, engine.stats.snapshot())
-    stats.elapsed_seconds = time.perf_counter() - started
+    result.stats.add_engine_delta(before, engine.stats.snapshot())
+    result.stats.elapsed_seconds = time.perf_counter() - started
     publish_query_metrics(result)
     return result
 

@@ -3,28 +3,29 @@
     "In future, we plan to consider moving clients for IFLS queries."
 
 :class:`MovingClientSimulator` animates clients along shortest indoor
-routes (via :class:`~repro.index.path.PathService`) and keeps a
-:class:`~repro.core.dynamic.DynamicIFLSSession` in sync, so the IFLS
-answer can be re-evaluated at any simulation time.  Movement is
-straight-line inside a partition and door-to-door between partitions —
-the same model the distance functions assume.
+routes (via :class:`~repro.index.path.PathService`) and keeps the
+current crowd as a ``{client_id: Client}`` map, so the IFLS answer can
+be re-evaluated at any simulation time.  Movement is straight-line
+inside a partition and door-to-door between partitions — the same
+model the distance functions assume.
 
 This is an extension beyond the paper's evaluation; it reuses the
-paper's machinery unchanged (the session answers with the efficient
-algorithm on a warm engine).
+paper's machinery unchanged: every answer is one
+:meth:`~repro.core.queries.IFLSEngine.query` over the current crowd on
+the engine's warm distances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..errors import QueryError
 from ..indoor.entities import Client, FacilitySets, PartitionId
 from ..indoor.geometry import Point
 from ..index.path import PathService, Route
-from .dynamic import DynamicIFLSSession
-from .queries import MINMAX, IFLSEngine
+from .problem import check_client_partitions
+from .queries import MINMAX, OBJECTIVES, IFLSEngine
 from .result import IFLSResult
 
 #: Default walking speed, metres per second.
@@ -96,11 +97,15 @@ class MovingClientSimulator:
         facilities: FacilitySets,
         objective: str = MINMAX,
     ) -> None:
+        if objective not in OBJECTIVES:
+            raise QueryError(f"unknown objective {objective!r}")
+        if not facilities.candidates:
+            raise QueryError("moving-client simulation requires candidates Fn")
         self.engine = engine
-        self.session = DynamicIFLSSession(
-            engine, facilities, objective=objective
-        )
+        self.facilities = facilities
+        self.objective = objective
         self.paths = PathService(engine.venue, graph=engine.tree.graph)
+        self._crowd: Dict[int, Client] = {}
         self._walkers: Dict[int, _Walker] = {}
         self.clock = 0.0
 
@@ -111,9 +116,11 @@ class MovingClientSimulator:
         destination: PartitionId,
         speed: float = WALKING_SPEED,
     ) -> None:
-        """Add a client walking from its location to ``destination``."""
+        """Add (or replace) a client walking from its location to
+        ``destination``."""
         if speed <= 0:
             raise QueryError("speed must be positive")
+        check_client_partitions(self.engine.venue, [client])
         route = self.paths.route_to_partition(client, destination)
         self._walkers[client.client_id] = _Walker(
             client=client,
@@ -121,16 +128,21 @@ class MovingClientSimulator:
             destination=destination,
             speed=speed,
         )
-        self.session.add_client(client)
+        self._crowd[client.client_id] = client
 
     def add_stationary(self, client: Client) -> None:
-        """Add a client that does not move."""
-        self.session.add_client(client)
+        """Add (or replace) a client that does not move; a walker with
+        the same id stops walking."""
+        check_client_partitions(self.engine.venue, [client])
+        self._walkers.pop(client.client_id, None)
+        self._crowd[client.client_id] = client
 
     def remove(self, client_id: int) -> None:
         """Remove a client (walking or stationary)."""
+        if client_id not in self._crowd:
+            raise QueryError(f"unknown client {client_id}")
         self._walkers.pop(client_id, None)
-        self.session.remove_client(client_id)
+        del self._crowd[client_id]
 
     # ------------------------------------------------------------------
     def step(self, seconds: float) -> int:
@@ -143,15 +155,26 @@ class MovingClientSimulator:
             if walker.arrived:
                 continue
             updated = walker.advance(seconds)
-            self.session.move_client(updated.client_id, updated)
+            self._crowd[updated.client_id] = updated
             moved += 1
         return moved
 
     def answer(self) -> IFLSResult:
-        """The IFLS answer for the crowd's current positions."""
-        return self.session.answer()
+        """The IFLS answer for the crowd's current positions.
+
+        One :meth:`IFLSEngine.query` on the engine's warm distances; an
+        empty crowd raises :class:`QueryError`.
+        """
+        return self.engine.query(
+            self.clients, self.facilities, objective=self.objective
+        )
 
     # ------------------------------------------------------------------
+    @property
+    def clients(self) -> List[Client]:
+        """Snapshot of the current crowd."""
+        return list(self._crowd.values())
+
     @property
     def walker_count(self) -> int:
         """Clients added as walkers (arrived or not)."""
@@ -159,8 +182,8 @@ class MovingClientSimulator:
 
     @property
     def client_count(self) -> int:
-        """All clients known to the underlying session."""
-        return self.session.client_count
+        """All clients in the crowd, walking or stationary."""
+        return len(self._crowd)
 
     def en_route(self) -> int:
         """Clients still walking."""
@@ -168,10 +191,4 @@ class MovingClientSimulator:
 
     def position_of(self, client_id: int) -> Optional[Client]:
         """Current Client record (walker or stationary), if known."""
-        walker = self._walkers.get(client_id)
-        if walker is not None:
-            return walker.client
-        for client in self.session.clients:
-            if client.client_id == client_id:
-                return client
-        return None
+        return self._crowd.get(client_id)

@@ -101,11 +101,12 @@ class ShardOutcome:
 
     ``totals`` and ``records`` are *deltas of this shard only* — a pool
     worker may execute several shards on one warm session, so shard
-    accounting must not re-report earlier work.  The cache footprint
-    (``cache_sizes``/``cache_entries``/``cache_bytes``) is the worker's
-    whole memo table, tagged with ``worker_pid`` so the merge counts
-    each process once (its largest observation) instead of once per
-    shard.
+    accounting must not re-report earlier work.  ``totals`` is the sum
+    of the shard's per-query ``result.stats.distance`` deltas.  The
+    cache footprint (``cache_sizes``/``cache_entries``/``cache_bytes``)
+    is the worker's whole memo table, tagged with ``worker_pid`` so the
+    merge counts each process once (its largest observation) instead of
+    once per shard.
 
     When the parent had observability enabled, ``trace_records`` holds
     the worker's finished spans (absorbed into the parent tracer on
@@ -233,7 +234,6 @@ def _run_shard(
         raise ParallelExecutionError("worker session was not initialised")
     tracer = Tracer() if observe_trace else None
     registry = MetricsRegistry() if observe_metrics else None
-    before = session.distances.stats.snapshot()
     records_start = len(session.records)
     explain_was = session.explain
     explain_start = len(session.explain_reports)
@@ -259,20 +259,18 @@ def _run_shard(
             # A list, so the attribute survives a JSON round-trip
             # (tuples decode as lists).
             shard_attrs["request_ids"] = list(request_ids)
-        shard_started = time.perf_counter()
         with _trace.span("parallel.shard", **shard_attrs):
             for index, request in shard:
                 results.append(session.answer(request, f"q{index + 1}"))
                 indices.append(index)
         _metrics.record(
             "parallel.shard.seconds",
-            time.perf_counter() - shard_started,
+            sum(result.stats.elapsed_seconds for result in results),
         )
     session.explain = explain_was
-    after = session.distances.stats.snapshot()
-    totals = {
-        key: value - before.get(key, 0) for key, value in after.items()
-    }
+    totals = merge_snapshots(
+        result.stats.distance.snapshot() for result in results
+    )
     records = list(session.records[records_start:])
     for record, index in zip(records, indices):
         record.index = index + 1

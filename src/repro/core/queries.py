@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.explain import ExplainReport
     from .session import QuerySession
 
 from ..errors import QueryError
@@ -24,13 +23,14 @@ from ..indoor.entities import Client, FacilitySets, PartitionId
 from ..indoor.venue import IndoorVenue
 from ..index.distance import VIPDistanceEngine
 from ..index.viptree import VIPTree
+from ..obs.explain import ExplainReport, explain_query
 from .baseline import modified_minmax
 from .bruteforce import (
     brute_force_maxsum,
     brute_force_mindist,
     brute_force_minmax,
 )
-from .efficient import EfficientOptions, efficient_minmax
+from .efficient import EfficientOptions, efficient_minmax, measured_query
 from .maxsum import efficient_maxsum
 from .mindist import efficient_mindist
 from .problem import IFLSProblem
@@ -54,6 +54,30 @@ BASELINE = "baseline"
 BRUTE_FORCE = "bruteforce"
 
 _ALGORITHMS = (EFFICIENT, BASELINE, BRUTE_FORCE)
+
+#: Each objective's exhaustive oracle (:mod:`repro.core.bruteforce`).
+_ORACLES = {
+    MINMAX: brute_force_minmax,
+    MINDIST: brute_force_mindist,
+    MAXSUM: brute_force_maxsum,
+}
+
+
+def _solve(
+    problem: IFLSProblem,
+    objective: str,
+    algorithm: str,
+    options: Optional[EfficientOptions],
+) -> IFLSResult:
+    """Answer a bound query with the named algorithm."""
+    if algorithm == BRUTE_FORCE:
+        oracle = _ORACLES[objective]
+        return measured_query(
+            BRUTE_FORCE, objective, problem, lambda _stats: oracle(problem)
+        )
+    if algorithm == BASELINE:
+        return modified_minmax(problem)
+    return EFFICIENT_SOLVERS[objective](problem, options)
 
 
 class IFLSEngine:
@@ -130,34 +154,14 @@ class IFLSEngine:
             non-memoising engine (the paper's baseline considers each
             client separately); used by the benchmark harness so
             measurements are independent and fair.
+
+        Every algorithm answers through
+        :func:`~repro.core.efficient.measured_query`, so
+        ``result.stats`` carries the query's wall time and distance
+        counter delta whichever solver ran.
         """
-        if objective not in OBJECTIVES:
-            raise QueryError(f"unknown objective {objective!r}")
-        if algorithm not in _ALGORITHMS:
-            raise QueryError(f"unknown algorithm {algorithm!r}")
-        distances = None
-        if cold:
-            distances = VIPDistanceEngine(
-                self.tree,
-                memoize=algorithm != BASELINE,
-                use_kernels=self.use_kernels,
-            )
-        problem = self.problem(clients, facilities, distances=distances)
-        if algorithm == BRUTE_FORCE:
-            dispatch = {
-                MINMAX: brute_force_minmax,
-                MINDIST: brute_force_mindist,
-                MAXSUM: brute_force_maxsum,
-            }
-            return dispatch[objective](problem)
-        if algorithm == BASELINE:
-            if objective != MINMAX:
-                raise QueryError(
-                    "the modified MinMax baseline only supports the "
-                    "minmax objective (paper Section 4)"
-                )
-            return modified_minmax(problem)
-        return EFFICIENT_SOLVERS[objective](problem, options)
+        problem = self._bind(clients, facilities, objective, algorithm, cold)
+        return _solve(problem, objective, algorithm, options)
 
     def explain(
         self,
@@ -169,17 +173,18 @@ class IFLSEngine:
         label: str = "",
         cold: bool = False,
         bound_limit: int = 512,
-    ) -> "ExplainReport":
+    ) -> ExplainReport:
         """Answer one query under the EXPLAIN profiler.
 
         Runs the query exactly like :meth:`query` but with a private
         tracer and a :class:`~repro.obs.profile.ProfileCollector`
-        installed, and returns a structured
-        :class:`~repro.obs.explain.ExplainReport`: per-phase wall time
-        with exact counter attribution, the Lemma 5.1 bound evolution,
-        per-level VIP-tree visit counts, and the cache breakdown.  The
-        result itself is discarded — re-run :meth:`query` for it; the
-        report carries the answer/objective/status triple.
+        installed (:func:`~repro.obs.explain.explain_query`), and
+        returns a structured :class:`~repro.obs.explain.ExplainReport`:
+        per-phase wall time with exact counter attribution, the Lemma
+        5.1 bound evolution, per-level VIP-tree visit counts, and the
+        cache breakdown.  The result itself is discarded — re-run
+        :meth:`query` for it; the report carries the
+        answer/objective/status triple.
 
         ``algorithm`` accepts ``"efficient"`` and ``"baseline"`` (the
         brute-force oracle has no phase structure worth explaining).
@@ -192,65 +197,49 @@ class IFLSEngine:
         the profiled spans are absorbed into it afterwards, so EXPLAIN
         composes with ambient tracing.
         """
-        from ..obs import profile as _profile
-        from ..obs import trace as _trace
-        from ..obs.explain import build_report
-        from ..obs.profile import ProfileCollector
-        from ..obs.trace import Tracer
-
-        if objective not in OBJECTIVES:
-            raise QueryError(f"unknown objective {objective!r}")
         if algorithm not in (EFFICIENT, BASELINE):
             raise QueryError(
                 "explain supports the efficient and baseline "
                 f"algorithms, not {algorithm!r}"
             )
+        problem = self._bind(clients, facilities, objective, algorithm, cold)
+        _result, report = explain_query(
+            lambda: _solve(problem, objective, algorithm, options),
+            problem.engine.stats,
+            label=label,
+            objective=objective,
+            algorithm=algorithm,
+            bound_limit=bound_limit,
+        )
+        return report
+
+    def _bind(
+        self,
+        clients: Sequence[Client],
+        facilities: FacilitySets,
+        objective: str,
+        algorithm: str,
+        cold: bool,
+    ) -> IFLSProblem:
+        """Check a query's objective and algorithm, then bind its inputs
+        to this engine's distances (a fresh engine when ``cold``)."""
+        if objective not in OBJECTIVES:
+            raise QueryError(f"unknown objective {objective!r}")
+        if algorithm not in _ALGORITHMS:
+            raise QueryError(f"unknown algorithm {algorithm!r}")
         if algorithm == BASELINE and objective != MINMAX:
             raise QueryError(
                 "the modified MinMax baseline only supports the "
                 "minmax objective (paper Section 4)"
             )
-        distances = self.distances
+        distances = None
         if cold:
             distances = VIPDistanceEngine(
                 self.tree,
                 memoize=algorithm != BASELINE,
                 use_kernels=self.use_kernels,
             )
-        problem = self.problem(clients, facilities, distances=distances)
-        collector = ProfileCollector(bound_limit=bound_limit)
-        tracer = Tracer()
-        outer = _trace.active()
-        before = distances.stats.snapshot()
-        with _trace.use(tracer), _profile.use(collector):
-            with _trace.span(
-                "explain.query",
-                stats=distances.stats,
-                objective=objective,
-                algorithm=algorithm,
-            ):
-                if algorithm == BASELINE:
-                    result = modified_minmax(problem)
-                else:
-                    result = EFFICIENT_SOLVERS[objective](
-                        problem, options
-                    )
-        if outer is not None:
-            outer.absorb(tracer.sorted_records())
-        after = distances.stats.snapshot()
-        totals = {
-            key: value - before.get(key, 0)
-            for key, value in after.items()
-        }
-        return build_report(
-            tracer.sorted_records(),
-            collector,
-            totals,
-            result,
-            label=label,
-            objective=objective,
-            algorithm=algorithm,
-        )
+        return self.problem(clients, facilities, distances=distances)
 
     def session(
         self,

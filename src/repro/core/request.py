@@ -219,10 +219,11 @@ class QueryRequest:
 class QueryResponse:
     """The answer envelope matching :class:`QueryRequest`.
 
-    ``distance_delta`` carries the per-query distance-counter deltas
-    (the same ledger slice ``SessionQueryRecord`` records), so a client
-    summing the deltas of every response it received can telescope them
-    against the service's ``/metrics`` ledger.
+    ``elapsed_seconds`` and ``distance_delta`` are the solver's own
+    measurement of the query (its ``result.stats``, the same ledger
+    slice ``SessionQueryRecord`` records), so a client summing the
+    deltas of every response it received can telescope them against
+    the service's ``/metrics`` ledger.
     """
 
     answer: Optional[PartitionId]
@@ -246,22 +247,21 @@ class QueryResponse:
         cls,
         result: IFLSResult,
         request: Optional[QueryRequest] = None,
-        elapsed_seconds: float = 0.0,
-        distance_delta: Optional[Dict[str, int]] = None,
         index: Optional[int] = None,
         explain_id: Optional[str] = None,
     ) -> "QueryResponse":
-        """Wrap a solver result (with its request's identity fields)."""
+        """Wrap a solver result (with its request's identity fields);
+        time and counter deltas come from ``result.stats``."""
         return cls(
             answer=result.answer,
             objective_value=result.objective,
             status=str(result.status),
             objective=request.objective if request else MINMAX,
             label=request.label if request else "",
-            elapsed_seconds=elapsed_seconds,
+            elapsed_seconds=result.stats.elapsed_seconds,
             index=index,
             explain_id=explain_id,
-            distance_delta=dict(distance_delta or {}),
+            distance_delta=result.stats.distance.snapshot(),
             request_id=request.request_id if request else "",
         )
 

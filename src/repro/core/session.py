@@ -31,7 +31,6 @@ evicted first); ``None`` keeps every distance ever computed.
 
 from __future__ import annotations
 
-import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
@@ -40,11 +39,9 @@ from ..errors import QueryError
 from ..indoor.entities import Client, FacilitySets, PartitionId
 from ..index.distance import VIPDistanceEngine
 from ..obs import metrics as _metrics
-from ..obs import profile as _profile
 from ..obs import trace as _trace
-from ..obs.explain import ExplainReport, build_report
+from ..obs.explain import ExplainReport, explain_query
 from ..obs.metrics import MetricsRegistry
-from ..obs.profile import ProfileCollector
 from ..obs.trace import Tracer
 from .efficient import EfficientOptions
 from .problem import IFLSProblem
@@ -80,7 +77,11 @@ def check_batch(batch: Iterable[Any]) -> List[QueryRequest]:
 
 @dataclass
 class SessionQueryRecord:
-    """Per-query cache effectiveness: engine-counter deltas."""
+    """Per-query cache effectiveness: engine-counter deltas.
+
+    ``elapsed_seconds`` and ``distance_delta`` are the query's own
+    measurement, copied from its ``result.stats``.
+    """
 
     index: int
     label: str
@@ -293,28 +294,26 @@ class QuerySession:
         span_attrs = {"objective": objective, "label": label}
         if request_id:
             span_attrs["request_id"] = request_id
-        before = self.distances.stats.snapshot()
-        started = time.perf_counter()
         with self._observing():
             with _trace.span("session.query", **span_attrs):
                 if self.explain:
-                    result = self._explained_solve(
-                        solver, problem, options, before,
-                        objective, label,
+                    result, report = explain_query(
+                        lambda: solver(problem, options),
+                        self.distances.stats,
+                        label=label,
+                        objective=objective,
+                        algorithm=EFFICIENT,
                     )
+                    report.index = self.queries_answered + 1
+                    report.cache_entries = self.distances.cache_entries()
+                    self.explain_reports.append(report)
                 else:
                     result = solver(problem, options)
             _metrics.set_gauge(
                 "cache.entries", self.distances.cache_entries()
             )
-        elapsed = time.perf_counter() - started
         self.queries_answered += 1
         if self.keep_records:
-            after = self.distances.stats.snapshot()
-            delta = {
-                key: value - before.get(key, 0)
-                for key, value in after.items()
-            }
             self.records.append(
                 SessionQueryRecord(
                     index=self.queries_answered,
@@ -323,8 +322,8 @@ class QuerySession:
                     answer=result.answer,
                     objective_value=result.objective,
                     clients=len(problem.clients),
-                    elapsed_seconds=elapsed,
-                    distance_delta=delta,
+                    elapsed_seconds=result.stats.elapsed_seconds,
+                    distance_delta=result.stats.distance.snapshot(),
                     cache_entries_after=self.distances.cache_entries(),
                     request_id=request_id,
                 )
@@ -347,55 +346,6 @@ class QuerySession:
             label=request.label or default_label,
             request_id=request.request_id,
         )
-
-    def _explained_solve(
-        self,
-        solver,
-        problem: IFLSProblem,
-        options: Optional[EfficientOptions],
-        before: Dict[str, int],
-        objective: str,
-        label: str,
-    ) -> IFLSResult:
-        """Run one solver call under the EXPLAIN profiler.
-
-        A private tracer and profile collector observe the solve; the
-        resulting report lands in ``explain_reports`` and the profiled
-        spans are absorbed into whatever tracer is currently active
-        (the session's, or an ambient one), parented under the open
-        ``session.query`` span.
-        """
-        collector = ProfileCollector()
-        tracer = Tracer()
-        with _trace.use(tracer), _profile.use(collector):
-            with _trace.span(
-                "explain.query",
-                stats=self.distances.stats,
-                objective=objective,
-                label=label,
-            ):
-                result = solver(problem, options)
-        ambient = _trace.active()
-        if ambient is not None:
-            ambient.absorb(tracer.sorted_records())
-        after = self.distances.stats.snapshot()
-        totals = {
-            key: value - before.get(key, 0)
-            for key, value in after.items()
-        }
-        report = build_report(
-            tracer.sorted_records(),
-            collector,
-            totals,
-            result,
-            label=label,
-            objective=objective,
-            algorithm="efficient",
-            cache_entries=self.distances.cache_entries(),
-        )
-        report.index = self.queries_answered + 1
-        self.explain_reports.append(report)
-        return result
 
     def run(
         self, batch: Iterable[QueryRequest], workers: int = 1
@@ -469,9 +419,8 @@ class QuerySession:
     def take_records(self) -> List[SessionQueryRecord]:
         """Return and clear the per-query records collected so far.
 
-        Long-lived executors (the query service's session pools) call
-        this after every flush so per-query deltas can travel in the
-        responses without the record list growing without bound.
+        A long-lived session that keeps records drains them with this
+        so the record list does not grow without bound.
         ``queries_answered`` and the distance ledger keep accumulating;
         only the record list is drained.
         """

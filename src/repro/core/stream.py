@@ -1,10 +1,11 @@
 """Continuous IFLS: incremental answers over a client event stream.
 
-The paper's dynamic-crowd story (:mod:`repro.core.dynamic`,
-:mod:`repro.core.moving`) recomputes every answer from scratch.  This
-module keeps the answer *current* while clients arrive, leave, and move
-as an event stream, re-evaluating only the partition groups whose
-Lemma 5.1 bound the event invalidates:
+The paper's dynamic-crowd story, answered with one
+:meth:`~repro.core.queries.IFLSEngine.query` per crowd change (as
+:mod:`repro.core.moving` does), recomputes every answer from scratch.
+This module keeps the MinMax answer *current* while clients arrive,
+leave, and move as an event stream, re-evaluating only the partition
+groups whose Lemma 5.1 bound the event invalidates:
 
 * every client's nearest-existing-facility distance ``de(c)`` is cached
   (computed once per location on the warm distance engine);

@@ -85,6 +85,18 @@ SPANS: Dict[str, SpanSpec] = _spans(
         "once per modified-MinMax baseline query (Algorithm 1)",
     ),
     SpanSpec(
+        "query.bruteforce.minmax",
+        "once per brute-force MinMax oracle query",
+    ),
+    SpanSpec(
+        "query.bruteforce.mindist",
+        "once per brute-force MinDist oracle query",
+    ),
+    SpanSpec(
+        "query.bruteforce.maxsum",
+        "once per brute-force MaxSum oracle query",
+    ),
+    SpanSpec(
         "ea.prephase",
         "child of query.efficient.*: Algorithm 2 pre-phase (clients "
         "located inside facility partitions)",
@@ -179,7 +191,8 @@ SPANS: Dict[str, SpanSpec] = _spans(
 METRICS: Dict[str, MetricSpec] = _metrics(
     MetricSpec(
         "query.count", "counter", "queries",
-        "every answered query (efficient or baseline, any objective)",
+        "every answered query (efficient, baseline or brute force, "
+        "any objective)",
     ),
     MetricSpec(
         "query.improved", "counter", "queries",
@@ -236,7 +249,8 @@ METRICS: Dict[str, MetricSpec] = _metrics(
     ),
     MetricSpec(
         "parallel.shard.seconds", "histogram", "seconds",
-        "per-shard execution wall time (inside the worker)",
+        "per-shard solver time inside the worker (the sum of the "
+        "shard's per-query elapsed_seconds)",
     ),
     MetricSpec(
         "parallel.shard.queue_wait_seconds", "histogram", "seconds",

@@ -25,10 +25,12 @@ version :data:`EXPLAIN_SCHEMA`), and CSV (one row per phase with the
 full distance-counter attribution,
 :func:`write_explain_csv` / :func:`read_explain_csv`).
 
-Reports are produced by :meth:`repro.core.queries.IFLSEngine.explain`,
-``QuerySession(explain=True)`` (serial and sharded-parallel batches),
-and the ``ifls explain`` CLI; each assembly increments the
-``explain.reports`` contract metric.
+Reports are produced by :func:`explain_query`, which
+:meth:`repro.core.queries.IFLSEngine.explain`,
+``QuerySession(explain=True)`` (serial and sharded-parallel batches)
+and the ``ifls explain`` CLI all run through; each assembly increments
+the ``explain.reports`` contract metric.  A report's time and distance
+ledger are the ones the solver measured into ``result.stats``.
 """
 
 from __future__ import annotations
@@ -38,11 +40,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import metrics as _metrics
+from . import profile as _profile
+from . import trace as _trace
 from .profile import BoundStep, ProfileCollector
-from .trace import SpanRecord
+from .trace import SpanRecord, Tracer
 
 __all__ = [
     "EXPLAIN_SCHEMA",
@@ -51,6 +55,7 @@ __all__ = [
     "ExplainPhase",
     "ExplainReport",
     "build_report",
+    "explain_query",
     "format_explain",
     "write_explain_json",
     "read_explain_json",
@@ -312,21 +317,19 @@ def _own_counters(
 def build_report(
     records: Sequence[SpanRecord],
     collector: ProfileCollector,
-    distance_totals: Dict[str, int],
     result: Any,
     label: str = "",
     objective: str = "",
     algorithm: str = "",
-    cache_entries: Optional[int] = None,
 ) -> ExplainReport:
     """Assemble an :class:`ExplainReport` for one finished query.
 
     ``records`` are the spans collected while the query ran (the
-    outermost one is expected to be the ``explain.query`` root);
-    ``distance_totals`` is the engine's :class:`DistanceStats` delta
-    over the same window — the ledger every per-phase attribution must
-    sum back to.  ``result`` is the query's
-    :class:`~repro.core.result.IFLSResult`.
+    outermost one is expected to be the ``explain.query`` root).
+    ``result`` is the query's :class:`~repro.core.result.IFLSResult`;
+    its ``stats`` give the report's time and ``distance_totals``, the
+    solver's :class:`DistanceStats` delta — the ledger every per-phase
+    attribution must sum back to.
     """
     phases = [
         ExplainPhase(
@@ -344,7 +347,6 @@ def build_report(
         for record in sorted(records, key=lambda item: item.index)
     ]
     _own_counters(phases)
-    elapsed = phases[0].duration_seconds if phases else 0.0
     stats = result.stats
     report = ExplainReport(
         label=label,
@@ -355,21 +357,61 @@ def build_report(
         status=str(result.status),
         clients_total=stats.clients_total,
         clients_pruned=stats.clients_pruned,
-        elapsed_seconds=elapsed,
+        elapsed_seconds=stats.elapsed_seconds,
         phases=phases,
-        distance_totals={
-            key: int(value)
-            for key, value in distance_totals.items()
-            if key != "algorithm"
-        },
+        distance_totals=stats.distance.snapshot(),
         bound_steps=list(collector.bound_steps),
         bound_rounds=collector.bound_rounds,
         bound_steps_dropped=collector.bound_steps_dropped,
         node_visits=collector.visits_by_depth(),
-        cache_entries=cache_entries,
     )
     _metrics.add("explain.reports")
     return report
+
+
+def explain_query(
+    solve: Callable[[], Any],
+    ledger: Any,
+    label: str = "",
+    objective: str = "",
+    algorithm: str = "",
+    bound_limit: int = 512,
+) -> Tuple[Any, ExplainReport]:
+    """Run ``solve`` under the EXPLAIN profiler; return its result and
+    the :class:`ExplainReport` describing it.
+
+    A private tracer and :class:`ProfileCollector` observe the solve
+    inside an ``explain.query`` span over ``ledger`` (the distance
+    engine's :class:`DistanceStats`), the root every per-phase counter
+    attribution sums back to.  The profiled spans are then absorbed
+    into whatever tracer is active, so EXPLAIN composes with ambient
+    tracing.  The report's time and ``distance_totals`` are the ones
+    the solver measured into ``result.stats``.
+    """
+    collector = ProfileCollector(bound_limit=bound_limit)
+    tracer = Tracer()
+    with _trace.use(tracer), _profile.use(collector):
+        with _trace.span(
+            "explain.query",
+            stats=ledger,
+            objective=objective,
+            algorithm=algorithm,
+            label=label,
+        ):
+            result = solve()
+    records = tracer.sorted_records()
+    ambient = _trace.active()
+    if ambient is not None:
+        ambient.absorb(records)
+    report = build_report(
+        records,
+        collector,
+        result,
+        label=label,
+        objective=objective,
+        algorithm=algorithm,
+    )
+    return result, report
 
 
 # ---------------------------------------------------------------------------

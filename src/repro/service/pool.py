@@ -236,7 +236,7 @@ class SessionPool:
     def _new_session(self) -> QuerySession:
         session = self.snapshot.session(
             max_cache_entries=self.max_cache_entries,
-            keep_records=True,
+            keep_records=False,
         )
         session._pool_mark = {}
         session._pool_queries_mark = 0

@@ -635,23 +635,9 @@ class IFLSService:
                     [requests[i] for i in plain],
                     workers=self.config.workers,
                 )
-                records = session.take_records()
                 for j, i in enumerate(plain):
-                    record = (
-                        records[j] if j < len(records) else None
-                    )
                     responses[i] = QueryResponse.from_result(
-                        results[j],
-                        requests[i],
-                        elapsed_seconds=(
-                            record.elapsed_seconds if record else 0.0
-                        ),
-                        distance_delta=(
-                            dict(record.distance_delta)
-                            if record
-                            else {}
-                        ),
-                        index=i,
+                        results[j], requests[i], index=i
                     )
             for i in explained:
                 responses[i] = self._run_explained(
@@ -673,24 +659,13 @@ class IFLSService:
             if session.explain_reports
             else None
         )
-        records = session.take_records()
-        record = records[-1] if records else None
         explain_id = (
             self._store_explain(report.to_dict())
             if report is not None
             else None
         )
         return QueryResponse.from_result(
-            result,
-            request,
-            elapsed_seconds=(
-                record.elapsed_seconds if record else 0.0
-            ),
-            distance_delta=(
-                dict(record.distance_delta) if record else {}
-            ),
-            index=index,
-            explain_id=explain_id,
+            result, request, index=index, explain_id=explain_id
         )
 
     # ------------------------------------------------------------------

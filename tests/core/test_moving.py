@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import IFLSEngine, QueryError
+from repro import Client, IFLSEngine, Point, QueryError
 from repro.core.bruteforce import brute_force_minmax
 from repro.core.moving import MovingClientSimulator, WALKING_SPEED
 from repro.datasets import small_office
@@ -101,7 +101,7 @@ class TestAnswersWhileMoving:
             sim.step(2.0)
             got = sim.answer()
             want = brute_force_minmax(
-                engine.problem(sim.session.clients, fs)
+                engine.problem(sim.clients, fs)
             )
             assert got.objective == pytest.approx(want.objective)
 
@@ -120,6 +120,30 @@ class TestAnswersWhileMoving:
             engine.problem([clients[1]], fs)
         )
         assert result.objective == pytest.approx(want.objective)
+
+    def test_objective_variants(self, setup):
+        venue, engine, rooms, fs = setup
+        clients = make_clients(venue, 15, seed=8)
+        for objective in ("minmax", "mindist", "maxsum"):
+            sim = MovingClientSimulator(engine, fs, objective=objective)
+            for client in clients:
+                sim.add_stationary(client)
+            result = sim.answer()
+            oracle = engine.query(
+                clients, fs, objective=objective, algorithm="bruteforce"
+            )
+            assert result.objective == pytest.approx(oracle.objective)
+
+    def test_unknown_objective_rejected(self, setup):
+        venue, engine, rooms, fs = setup
+        with pytest.raises(QueryError):
+            MovingClientSimulator(engine, fs, objective="minmode")
+
+    def test_empty_crowd_rejected(self, setup):
+        venue, engine, rooms, fs = setup
+        sim = MovingClientSimulator(engine, fs)
+        with pytest.raises(QueryError):
+            sim.answer()
 
     def test_clock_advances(self, setup):
         venue, engine, rooms, fs = setup
@@ -172,5 +196,31 @@ class TestEdgeCases:
         sim.remove(clients[0].client_id)
         sim.add_stationary(clients[0])
         assert sim.client_count == 1
+        assert sim.walker_count == 0
+        assert sim.position_of(clients[0].client_id) == clients[0]
+
+    def test_unknown_partition_rejected_before_state_changes(self, setup):
+        venue, engine, rooms, fs = setup
+        sim = MovingClientSimulator(engine, fs)
+        for client in make_clients(venue, 5, seed=33):
+            sim.add_stationary(client)
+        stray = Client(999, Point(1, 1, 0), 99999)
+        with pytest.raises(QueryError):
+            sim.add_stationary(stray)
+        with pytest.raises(QueryError):
+            sim.add_walker(stray, rooms[0])
+        assert sim.client_count == 5
+        assert sim.position_of(999) is None
+        assert sim.answer().objective >= 0
+
+    def test_walker_readded_as_stationary_stops(self, setup):
+        venue, engine, rooms, fs = setup
+        sim = MovingClientSimulator(engine, fs)
+        clients, destination = walker_pair(venue, rooms, seed=34)
+        sim.add_walker(clients[0], destination)
+        assert sim.en_route() == 1
+        sim.add_stationary(clients[0])
+        assert sim.step(5.0) == 0
+        assert sim.en_route() == 0
         assert sim.walker_count == 0
         assert sim.position_of(clients[0].client_id) == clients[0]

@@ -111,6 +111,23 @@ class TestColdAndOptions:
         assert result.objective >= 0
 
 
+class TestMeasurement:
+    @pytest.mark.parametrize("objective", ["minmax", "mindist", "maxsum"])
+    def test_bruteforce_query_is_measured(self, office, objective):
+        """The oracle is timed and counted like every other solver:
+        its stats carry the engine ledger's movement over the call."""
+        engine, clients, fs = office
+        before = engine.distances.stats.snapshot()
+        result = engine.query(
+            clients, fs, objective=objective, algorithm="bruteforce"
+        )
+        after = engine.distances.stats.snapshot()
+        moved = {key: value - before[key] for key, value in after.items()}
+        assert result.stats.distance.snapshot() == moved
+        assert result.stats.distance.idist_calls > 0
+        assert result.stats.elapsed_seconds > 0
+
+
 class TestResultSemantics:
     def test_improved_flag(self, office):
         engine, clients, fs = office

@@ -85,15 +85,15 @@ class TestCheckoutCheckin:
 
 class TestLedger:
     def test_deltas_telescope_to_pool_ledger(self, snapshot, workload):
-        """Sum of per-query record deltas == merged pool ledger, and
+        """Sum of per-query result deltas == merged pool ledger, and
         the merged ledger keeps the single-engine invariants."""
         pool = SessionPool(snapshot, size=2)
         summed = {}
         for clients, facilities in workload:
             with pool.session() as session:
-                session.query(clients, facilities)
-                record = session.take_records()[-1]
-                for key, value in record.distance_delta.items():
+                result = session.query(clients, facilities)
+                delta = result.stats.distance.snapshot()
+                for key, value in delta.items():
                     summed[key] = summed.get(key, 0) + value
         ledger = pool.ledger()
         assert pool.ledger_violations() == []

@@ -363,8 +363,7 @@ def run_checks() -> List[str]:
                 request.facilities,
                 objective=request.objective,
             )
-        record = session.take_records()[-1]
-        for key, value in record.distance_delta.items():
+        for key, value in result.stats.distance.snapshot().items():
             summed[key] = summed.get(key, 0) + value
         oracle = engine.query(
             request.clients,

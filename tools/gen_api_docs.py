@@ -22,6 +22,41 @@ OUT = Path(__file__).resolve().parents[1] / "docs" / "API.md"
 # Hand-maintained prose sections are authored HERE (the output file
 # is generated; edits to docs/API.md are overwritten).
 MIGRATION = """\
+## Migrating to 3.0
+
+3.0 measures every query once.  `measured_query` times each solver
+(the efficient objectives, the baseline and the brute-force oracle)
+and writes its wall time and distance-counter delta into
+`result.stats`; `Engine.query`, `Engine.run`, `QuerySession`, EXPLAIN,
+the parallel shards and the query service all read them from there.
+A changing crowd is a plain dict of clients answered with
+`IFLSEngine.query`.  Each name 3.0 removed, with its replacement:
+
+| Removed in 3.0 | Replacement | Notes |
+|---|---|---|
+| `DynamicIFLSSession(engine, fs, objective=...)` | a `{client_id: Client}` \
+dict plus `engine.query(list(crowd.values()), fs, objective=...)` | \
+`add_client`, `add_clients`, `move_client` and `remove_client` become dict \
+writes and `del`; `answers_computed` is a counter of your own. \
+`Engine.stream(fs)` answers MinMax per arrive/depart/move event instead. |
+| `DynamicIFLSSession.evaluate(n)` | `engine.query(crowd, \
+FacilitySets(existing, {n}), algorithm="bruteforce").objective` | \
+`worst_client_distance()` is the largest `nearest_existing_distance` \
+over the crowd. |
+| `DynamicIFLSSession.nearest_existing_distance(client_id)` | \
+`FacilitySearch(engine.distances, existing).nearest(c)` | Returns \
+`(partition, distance)`, or `None` when no existing facility is reachable. |
+| `MovingClientSimulator.session` | `MovingClientSimulator.clients` | \
+`client_count`, `position_of` and `answer()` are unchanged. |
+| `QueryResponse.from_result(result, request, elapsed_seconds=..., \
+distance_delta=...)` | `QueryResponse.from_result(result, request)` | Both \
+fields are read from `result.stats`. |
+| `repro.obs.explain.build_report(records, collector, distance_totals, \
+result, ..., cache_entries=...)` | `build_report(records, collector, \
+result, ...)` | `distance_totals` and the time are read from \
+`result.stats`; set `cache_entries` on the returned report. \
+`explain_query` runs a solve and builds its report in one call. |
+
 ## Migrating to 2.0
 
 2.0 keeps one per-query value, `QueryRequest`.  `Engine.query`,
@@ -34,14 +69,32 @@ Each name 2.0 removed, with its replacement:
 
 | Removed in 2.0 | Replacement | Notes |
 |---|---|---|
-| `BatchQuery(clients, fs, objective=..., label=...)` | `QueryRequest(clients, fs, objective=..., label=...)` | Same positional `clients, facilities` and keywords. `BatchQuery(..., options=EfficientOptions(...))` becomes the flat `prune_clients` / `group_by_partition` / `traversal` / `use_kernels` fields. |
-| `Engine.query(clients, fs, objective=..., ...)` | `Engine.query(QueryRequest(clients, fs, objective=..., ...))` | `Engine.query` takes exactly one `QueryRequest`; anything else raises `QueryError`. `IFLSEngine.query(clients, fs, ...)` is unchanged. |
-| `QueryRequest.from_legacy(clients, fs, options=...)` | `QueryRequest(clients, fs, ...)` | `EfficientOptions` fields are flat `QueryRequest` fields. |
-| `QueryRequest.to_batch_query()`, `repro.core.request.as_batch_queries(batch)` | pass the `QueryRequest` list to the executor | The executors run the batch check themselves (`repro.core.session.check_batch`). |
+| `BatchQuery(clients, fs, objective=..., label=...)` | \
+`QueryRequest(clients, fs, objective=..., label=...)` | Same positional \
+`clients, facilities` and keywords. `BatchQuery(..., \
+options=EfficientOptions(...))` becomes the flat `prune_clients` / \
+`group_by_partition` / `traversal` / `use_kernels` fields. |
+| `Engine.query(clients, fs, objective=..., ...)` | \
+`Engine.query(QueryRequest(clients, fs, objective=..., ...))` | \
+`Engine.query` takes exactly one `QueryRequest`; anything else raises \
+`QueryError`. `IFLSEngine.query(clients, fs, ...)` is unchanged. |
+| `QueryRequest.from_legacy(clients, fs, options=...)` | \
+`QueryRequest(clients, fs, ...)` | `EfficientOptions` fields are flat \
+`QueryRequest` fields. |
+| `QueryRequest.to_batch_query()`, \
+`repro.core.request.as_batch_queries(batch)` | pass the `QueryRequest` list \
+to the executor | The executors run the batch check themselves \
+(`repro.core.session.check_batch`). |
 | `repro.core.request.warn_legacy_call` | none | No deprecation shims remain. |
-| `repro.api.legacy_facilities(existing, candidates)` | `FacilitySets(frozenset(existing), frozenset(candidates))` | |
-| `measure_memory=` on `IFLSEngine.query`, `EfficientOptions`, `QueryRequest`, `modified_minmax` and `measured_query` | take peak memory in a separate `tracemalloc` pass, as `repro.bench.measure.measure_query` does | No solver path starts `tracemalloc` any more. |
-| `QueryStats.peak_memory_bytes` | `tracemalloc.get_traced_memory()` read around the call | Nothing set it once the knob went; `QueryStats.merge` lost its max rule with it. |
+| `repro.api.legacy_facilities(existing, candidates)` | \
+`FacilitySets(frozenset(existing), frozenset(candidates))` | |
+| `measure_memory=` on `IFLSEngine.query`, `EfficientOptions`, \
+`QueryRequest`, `modified_minmax` and `measured_query` | take peak memory in \
+a separate `tracemalloc` pass, as `repro.bench.measure.measure_query` does | \
+No solver path starts `tracemalloc` any more. |
+| `QueryStats.peak_memory_bytes` | `tracemalloc.get_traced_memory()` read \
+around the call | Nothing set it once the knob went; `QueryStats.merge` lost \
+its max rule with it. |
 """
 
 
