@@ -111,7 +111,7 @@ from .obs import (
     observe,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "BACKENDS",

@@ -1,17 +1,26 @@
-"""Experiment definitions regenerating the paper's evaluation (Section 6).
+"""Experiment sweeps regenerating the paper's evaluation (Section 6).
 
-Every figure of the paper maps to one experiment function returning
-:class:`Row` records with both metrics (time and memory), so Figure 7
-(time) and Figure 8 (memory) come from the same runs, exactly like the
-paper reports one set of runs under two metrics.
+Every figure of the paper maps to one sweep returning :class:`Row`
+records with both metrics (time and memory), so Figure 7 (time) and
+Figure 8 (memory) come from the same runs, exactly like the paper
+reports one set of runs under two metrics.  Each sweep is the body of
+one perf-gate suite (:data:`repro.bench.regress.SUITES`): ``ifls
+perfgate --record`` repeats it ``--runs`` times and stores per-row
+medians, and ``ifls bench`` prints one run of it.
+
+A row measures its query in two passes over the same inputs.  Its
+seconds are the solver's own ``result.stats.elapsed_seconds`` of an
+untraced, cold solve (the index is built offline, as in §6.1.3); its
+peak memory comes from a second cold solve under ``tracemalloc``,
+never timed, because tracing slows algorithms by different factors.
 
 Parameter ranges follow Table 2; the ``REPRO_SCALE`` environment
-variable selects how much of the paper's scale to run:
+variable selects how much of the paper's client counts to run.  A row
+keeps the paper's count as its label and records the count that ran:
 
-* ``small``  (default) — client counts divided by 20, 2 repetitions;
-  finishes in a few minutes on a laptop;
-* ``medium`` — client counts divided by 4, 3 repetitions;
-* ``paper``  — the full Table 2 ranges, 10 repetitions (as in §6.1.3).
+* ``small``  (default) — client counts divided by 20;
+* ``medium`` — client counts divided by 4;
+* ``paper``  — the full Table 2 counts.
 """
 
 from __future__ import annotations
@@ -19,17 +28,13 @@ from __future__ import annotations
 import os
 import random
 import time
+import tracemalloc
 import zlib
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
-from ..core.efficient import (
-    TOP_DOWN,
-    EfficientOptions,
-    efficient_minmax,
-)
-from ..core.queries import IFLSEngine
+from ..core.efficient import TOP_DOWN, EfficientOptions
+from ..core.queries import MINMAX, IFLSEngine
 from ..datasets.categories import QUERY_CATEGORIES, real_setting_facilities
 from ..datasets.venues import CH, CPH, MC, MZB, VENUE_NAMES, venue_by_name
 from ..datasets.workloads import (
@@ -37,10 +42,10 @@ from ..datasets.workloads import (
     random_facility_sets,
     uniform_clients,
 )
-from ..indoor.entities import FacilitySets
-from .measure import Measurement, measure_query, traced_peak
+from ..indoor.entities import Client, FacilitySets
 
-def _seed(*parts: object) -> int:
+
+def zlib_seed(*parts: object) -> int:
     """Deterministic cross-process seed (``hash()`` is salted)."""
     return zlib.crc32(repr(parts).encode("utf-8"))
 
@@ -66,6 +71,9 @@ FN_RANGES: Dict[str, Sequence[int]] = {
     MZB: (300, 400, 500, 600, 700),
 }
 
+#: The client-count parameter; its row labels are paper-scale counts.
+PARAM_C = "|C|"
+
 
 def default_fe(venue: str) -> int:
     """Table-2 default |Fe| (midpoint of the venue's range)."""
@@ -84,11 +92,10 @@ def default_fn(venue: str) -> int:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class Scale:
-    """How much of the paper's workload to run."""
+    """How much of the paper's client counts to run."""
 
     name: str
     client_divisor: int
-    repeats: int
 
     def clients(self, paper_count: int) -> int:
         """Scaled client count for a paper-scale count."""
@@ -96,9 +103,9 @@ class Scale:
 
 
 SCALES = {
-    "small": Scale("small", 20, 2),
-    "medium": Scale("medium", 4, 3),
-    "paper": Scale("paper", 1, 10),
+    "small": Scale("small", 20),
+    "medium": Scale("medium", 4),
+    "paper": Scale("paper", 1),
 }
 
 
@@ -118,7 +125,13 @@ def current_scale() -> Scale:
 # ---------------------------------------------------------------------------
 @dataclass
 class Row:
-    """One measured (configuration, algorithm) data point."""
+    """One measured (configuration, algorithm) data point.
+
+    ``clients`` is the client count that ran; when ``parameter`` is
+    :data:`PARAM_C`, ``value`` is the paper's count it stands for.
+    ``memory_mb`` is 0 where no memory pass ran (batches, replays) and
+    ``objective`` is ``None`` where a row has no single answer.
+    """
 
     experiment: str
     venue: str
@@ -129,6 +142,7 @@ class Row:
     time_seconds: float
     memory_mb: float
     objective: Optional[float]
+    clients: int = 0
 
     def key(self) -> tuple:
         """Configuration key (everything but the algorithm)."""
@@ -139,7 +153,7 @@ class Row:
 
 
 class EngineCache:
-    """Builds each venue's IFLS engine once per harness run."""
+    """Builds each venue's IFLS engine once per sweep run."""
 
     def __init__(self) -> None:
         self._engines: Dict[str, IFLSEngine] = {}
@@ -153,41 +167,66 @@ class EngineCache:
         return self._engines[venue_name]
 
 
-def _rows_from(
-    measurements: Iterable[Measurement],
-    experiment: str,
-    venue: str,
-    setting: str,
-    parameter: str,
-    value: float,
-) -> List[Row]:
-    return [
-        Row(
-            experiment=experiment,
-            venue=venue,
-            setting=setting,
-            parameter=parameter,
-            value=value,
-            algorithm=m.label,
-            time_seconds=m.mean_seconds,
-            memory_mb=m.mean_memory_mb,
-            objective=m.objective,
-        )
-        for m in measurements
-    ]
+# ---------------------------------------------------------------------------
+# Measuring one row
+# ---------------------------------------------------------------------------
+def traced_peak_mb(run: Callable[[], object]) -> float:
+    """Peak traced allocation (MB) of one call of ``run``.
+
+    The memory pass of a row: never time a call made here.
+    """
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (1024 * 1024)
 
 
-def _measure_pair(
+def query_row(
     engine: IFLSEngine,
-    clients,
+    clients: Sequence[Client],
     facilities: FacilitySets,
-    scale: Scale,
-) -> List[Measurement]:
-    return [
-        measure_query(
-            engine, clients, facilities, algorithm,
-            repeats=scale.repeats,
+    algorithm: str,
+    objective: str = MINMAX,
+    options: Optional[EfficientOptions] = None,
+    label: Optional[str] = None,
+    **key,
+) -> Row:
+    """Measure one cold query configuration into a row.
+
+    ``key`` names the row (experiment, venue, setting, parameter,
+    value); ``label`` replaces the algorithm name (ablation variants).
+    """
+
+    def run():
+        return engine.query(
+            clients,
+            facilities,
+            objective=objective,
+            algorithm=algorithm,
+            options=options,
+            cold=True,
         )
+
+    result = run()
+    return Row(
+        algorithm=label or algorithm,
+        time_seconds=result.stats.elapsed_seconds,
+        memory_mb=traced_peak_mb(run),
+        objective=result.objective,
+        clients=len(clients),
+        **key,
+    )
+
+
+def _pair_rows(
+    engine: IFLSEngine, clients, facilities: FacilitySets, **key
+) -> List[Row]:
+    """Efficient and baseline rows on the same inputs."""
+    return [
+        query_row(engine, clients, facilities, algorithm, **key)
         for algorithm in ("efficient", "baseline")
     ]
 
@@ -209,18 +248,14 @@ def fig5(
     for category in categories:
         facilities = real_setting_facilities(engine.venue, category)
         for paper_count in client_sizes:
-            count = scale.clients(paper_count)
-            rng = random.Random(_seed(category, paper_count))
-            clients = uniform_clients(engine.venue, count, rng)
-            rows.extend(
-                _rows_from(
-                    _measure_pair(engine, clients, facilities, scale),
-                    experiment="fig5",
-                    venue=MC,
-                    setting=category,
-                    parameter="|C|",
-                    value=paper_count,
-                )
+            rng = random.Random(zlib_seed(category, paper_count))
+            clients = uniform_clients(
+                engine.venue, scale.clients(paper_count), rng
+            )
+            rows += _pair_rows(
+                engine, clients, facilities,
+                experiment="fig5", venue=MC, setting=category,
+                parameter=PARAM_C, value=paper_count,
             )
     return rows
 
@@ -244,40 +279,28 @@ def fig6(
     engine = cache.engine(MC)
     facilities = real_setting_facilities(engine.venue, real_category)
     for sigma in sigmas:
-        rng = random.Random(_seed("fig6-real", sigma))
+        rng = random.Random(zlib_seed("fig6-real", sigma))
         clients = normal_clients(engine.venue, count, sigma, rng)
-        rows.extend(
-            _rows_from(
-                _measure_pair(engine, clients, facilities, scale),
-                experiment="fig6",
-                venue=MC,
-                setting="real",
-                parameter="sigma",
-                value=sigma,
-            )
+        rows += _pair_rows(
+            engine, clients, facilities,
+            experiment="fig6", venue=MC, setting="real",
+            parameter="sigma", value=sigma,
         )
 
     for venue_name in venues:
         engine = cache.engine(venue_name)
-        rng = random.Random(_seed("fig6-fac", venue_name))
+        rng = random.Random(zlib_seed("fig6-fac", venue_name))
         facilities = random_facility_sets(
             engine.venue, default_fe(venue_name), default_fn(venue_name),
             rng,
         )
         for sigma in sigmas:
-            rng = random.Random(
-                _seed("fig6", venue_name, sigma)
-            )
+            rng = random.Random(zlib_seed("fig6", venue_name, sigma))
             clients = normal_clients(engine.venue, count, sigma, rng)
-            rows.extend(
-                _rows_from(
-                    _measure_pair(engine, clients, facilities, scale),
-                    experiment="fig6",
-                    venue=venue_name,
-                    setting="synthetic",
-                    parameter="sigma",
-                    value=sigma,
-                )
+            rows += _pair_rows(
+                engine, clients, facilities,
+                experiment="fig6", venue=venue_name, setting="synthetic",
+                parameter="sigma", value=sigma,
             )
     return rows
 
@@ -298,8 +321,9 @@ def fig78(
     rows: List[Row] = []
     for venue_name in venues:
         engine = cache.engine(venue_name)
+        key = dict(experiment="fig78", venue=venue_name, setting="synthetic")
         if "C" in parts:
-            rng = random.Random(_seed("f7c", venue_name))
+            rng = random.Random(zlib_seed("f7c", venue_name))
             facilities = random_facility_sets(
                 engine.venue,
                 default_fe(venue_name),
@@ -307,59 +331,36 @@ def fig78(
                 rng,
             )
             for paper_count in CLIENT_SIZES:
-                count = scale.clients(paper_count)
-                rng = random.Random(
-                    _seed("f7c", venue_name, paper_count)
+                rng = random.Random(zlib_seed("f7c", venue_name, paper_count))
+                clients = uniform_clients(
+                    engine.venue, scale.clients(paper_count), rng
                 )
-                clients = uniform_clients(engine.venue, count, rng)
-                rows.extend(
-                    _rows_from(
-                        _measure_pair(engine, clients, facilities, scale),
-                        experiment="fig78",
-                        venue=venue_name,
-                        setting="synthetic",
-                        parameter="|C|",
-                        value=paper_count,
-                    )
+                rows += _pair_rows(
+                    engine, clients, facilities,
+                    parameter=PARAM_C, value=paper_count, **key,
                 )
         count = scale.clients(DEFAULT_CLIENTS)
         if "Fe" in parts:
             for fe in FE_RANGES[venue_name]:
-                rng = random.Random(
-                    _seed("f7e", venue_name, fe)
-                )
+                rng = random.Random(zlib_seed("f7e", venue_name, fe))
                 facilities = random_facility_sets(
                     engine.venue, fe, default_fn(venue_name), rng
                 )
                 clients = uniform_clients(engine.venue, count, rng)
-                rows.extend(
-                    _rows_from(
-                        _measure_pair(engine, clients, facilities, scale),
-                        experiment="fig78",
-                        venue=venue_name,
-                        setting="synthetic",
-                        parameter="|Fe|",
-                        value=fe,
-                    )
+                rows += _pair_rows(
+                    engine, clients, facilities,
+                    parameter="|Fe|", value=fe, **key,
                 )
         if "Fn" in parts:
             for fn in FN_RANGES[venue_name]:
-                rng = random.Random(
-                    _seed("f7n", venue_name, fn)
-                )
+                rng = random.Random(zlib_seed("f7n", venue_name, fn))
                 facilities = random_facility_sets(
                     engine.venue, default_fe(venue_name), fn, rng
                 )
                 clients = uniform_clients(engine.venue, count, rng)
-                rows.extend(
-                    _rows_from(
-                        _measure_pair(engine, clients, facilities, scale),
-                        experiment="fig78",
-                        venue=venue_name,
-                        setting="synthetic",
-                        parameter="|Fn|",
-                        value=fn,
-                    )
+                rows += _pair_rows(
+                    engine, clients, facilities,
+                    parameter="|Fn|", value=fn, **key,
                 )
     return rows
 
@@ -380,14 +381,7 @@ def ablations(
     cache: Optional[EngineCache] = None,
     venue_name: str = MC,
 ) -> List[Row]:
-    """Efficient-approach variants with individual optimisations off.
-
-    Each repetition times a cold solve untraced, then takes its peak
-    memory from a second cold solve under ``tracemalloc``.
-    """
-    from ..core.problem import IFLSProblem
-    from ..index.distance import VIPDistanceEngine
-
+    """Efficient-approach variants with individual optimisations off."""
     scale = scale or current_scale()
     cache = cache or EngineCache()
     engine = cache.engine(venue_name)
@@ -395,45 +389,27 @@ def ablations(
     facilities = random_facility_sets(
         engine.venue, default_fe(venue_name), default_fn(venue_name), rng
     )
-    count = scale.clients(DEFAULT_CLIENTS)
-    clients = uniform_clients(engine.venue, count, rng)
-    rows: List[Row] = []
-    for name, options in ABLATION_VARIANTS.items():
-        times: List[float] = []
-        memories: List[float] = []
-        objective = None
-        for _ in range(scale.repeats):
-            problem = IFLSProblem(
-                VIPDistanceEngine(engine.tree), clients, facilities
-            )
-            started = time.perf_counter()
-            result = efficient_minmax(problem, options)
-            times.append(time.perf_counter() - started)
-            problem = IFLSProblem(
-                VIPDistanceEngine(engine.tree), clients, facilities
-            )
-            peak = traced_peak(partial(efficient_minmax, problem, options))
-            memories.append(peak / (1024 * 1024))
-            objective = result.objective
-        rows.append(
-            Row(
-                experiment="ablation",
-                venue=venue_name,
-                setting="synthetic",
-                parameter="variant",
-                value=0.0,
-                algorithm=name,
-                time_seconds=sum(times) / len(times),
-                memory_mb=sum(memories) / len(memories),
-                objective=objective,
-            )
+    clients = uniform_clients(
+        engine.venue, scale.clients(DEFAULT_CLIENTS), rng
+    )
+    return [
+        query_row(
+            engine, clients, facilities, "efficient",
+            options=options, label=name,
+            experiment="ablation", venue=venue_name, setting="synthetic",
+            parameter=PARAM_C, value=DEFAULT_CLIENTS,
         )
-    return rows
+        for name, options in ABLATION_VARIANTS.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Extensions (Section 7): MinDist and MaxSum vs brute force
 # ---------------------------------------------------------------------------
+#: Extensions run brute force too, so they stay below the figure scales.
+EXTENSION_CLIENTS = DEFAULT_CLIENTS // 5
+
+
 def extensions(
     scale: Optional[Scale] = None,
     cache: Optional[EngineCache] = None,
@@ -447,33 +423,26 @@ def extensions(
     facilities = random_facility_sets(
         engine.venue, default_fe(venue_name), default_fn(venue_name), rng
     )
-    # Extensions run brute force too, so stay below the figure scales.
-    count = max(20, scale.clients(DEFAULT_CLIENTS) // 5)
-    clients = uniform_clients(engine.venue, count, rng)
-    rows: List[Row] = []
-    for objective in ("mindist", "maxsum"):
-        for algorithm in ("efficient", "bruteforce"):
-            measurement = measure_query(
-                engine, clients, facilities, algorithm,
-                objective=objective, repeats=max(1, scale.repeats - 1),
-            )
-            rows.extend(
-                _rows_from(
-                    [measurement],
-                    experiment="extensions",
-                    venue=venue_name,
-                    setting=objective,
-                    parameter="|C|",
-                    value=count,
-                )
-            )
-    return rows
+    clients = uniform_clients(
+        engine.venue, scale.clients(EXTENSION_CLIENTS), rng
+    )
+    return [
+        query_row(
+            engine, clients, facilities, algorithm, objective=objective,
+            experiment="extensions", venue=venue_name, setting=objective,
+            parameter=PARAM_C, value=EXTENSION_CLIENTS,
+        )
+        for objective in ("mindist", "maxsum")
+        for algorithm in ("efficient", "bruteforce")
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Parallel batch executor: wall-clock scaling across worker counts
 # ---------------------------------------------------------------------------
 WORKER_COUNTS = (1, 2, 4, 8)
+PARALLEL_QUERIES = 8
+PARALLEL_CLIENTS = 5_000
 
 
 def parallel_scaling(
@@ -481,17 +450,15 @@ def parallel_scaling(
     cache: Optional[EngineCache] = None,
     venue_name: str = MC,
     worker_counts: Sequence[int] = WORKER_COUNTS,
-    queries: Optional[int] = None,
+    queries: int = PARALLEL_QUERIES,
 ) -> List[Row]:
     """Wall-clock of one warm batch, sharded over 1/2/4/8 workers.
 
     The same batch (fresh workload per query, identical across worker
     counts) is answered through :func:`~repro.core.parallel.run_batch_parallel`
     at each pool size; answers are asserted identical, so the series
-    measures pure execution scaling.  Per worker count the best of
-    ``scale.repeats`` runs is reported (pool startup noise suppressed).
-    Speedup is bounded by the machine's core count — a single-core
-    runner shows ~1x with the sharding overhead on top.
+    measures pure execution scaling.  Speedup is bounded by the
+    machine's core count, which the recording's fingerprint names.
     """
     from ..core.parallel import run_batch_parallel
     from ..core.request import QueryRequest
@@ -499,12 +466,10 @@ def parallel_scaling(
     scale = scale or current_scale()
     cache = cache or EngineCache()
     engine = cache.engine(venue_name)
-    if queries is None:
-        queries = max(8, 4 * scale.repeats)
-    count = scale.clients(5_000)
+    count = scale.clients(PARALLEL_CLIENTS)
     batch = []
     for i in range(queries):
-        rng = random.Random(_seed("parallel", venue_name, i))
+        rng = random.Random(zlib_seed("parallel", venue_name, i))
         facilities = random_facility_sets(
             engine.venue,
             default_fe(venue_name),
@@ -516,16 +481,13 @@ def parallel_scaling(
     reference = None
     rows: List[Row] = []
     for workers in worker_counts:
-        times: List[float] = []
-        for _ in range(scale.repeats):
-            outcome = run_batch_parallel(engine, batch, workers)
-            times.append(outcome.elapsed_seconds)
-            if reference is None:
-                reference = outcome.answers
-            elif outcome.answers != reference:
-                raise RuntimeError(
-                    f"parallel answers diverged at workers={workers}"
-                )
+        outcome = run_batch_parallel(engine, batch, workers)
+        if reference is None:
+            reference = outcome.answers
+        elif outcome.answers != reference:
+            raise RuntimeError(
+                f"parallel answers diverged at workers={workers}"
+            )
         rows.append(
             Row(
                 experiment="parallel",
@@ -534,9 +496,10 @@ def parallel_scaling(
                 parameter="workers",
                 value=workers,
                 algorithm="parallel",
-                time_seconds=min(times),
+                time_seconds=outcome.elapsed_seconds,
                 memory_mb=0.0,
                 objective=None,
+                clients=count,
             )
         )
     return rows
@@ -545,16 +508,19 @@ def parallel_scaling(
 # ---------------------------------------------------------------------------
 # Continuous IFLS: incremental event-stream maintenance vs the oracle
 # ---------------------------------------------------------------------------
-STREAM_EVENT_COUNTS = (100, 200, 400)
-STREAM_INITIAL = 200
+#: The stream workload shared by the ``replay`` and ``stream`` suites:
+#: venue, facility counts and the arrivals seeding the crowd.
+STREAM_VENUE = CPH
 STREAM_FE = 20
 STREAM_FN = 15
+STREAM_INITIAL = 200
+STREAM_EVENT_COUNTS = (100, 200, 400)
 
 
 def stream_replay(
     scale: Optional[Scale] = None,
     cache: Optional[EngineCache] = None,
-    venue_name: str = CPH,
+    venue_name: str = STREAM_VENUE,
     event_counts: Sequence[int] = STREAM_EVENT_COUNTS,
 ) -> List[Row]:
     """Incremental stream maintenance vs the from-scratch oracle.
@@ -564,14 +530,15 @@ def stream_replay(
     incrementally (Lemma 5.1 settled groups skipped, skip rules applied)
     and once in oracle mode (full recompute per event).  Final answers
     are asserted identical, so the series measures pure maintenance
-    cost; per mode the best of ``scale.repeats`` replays is reported.
+    cost.  A row's clients are the final crowd; the event counts do
+    not scale, so ``scale`` is accepted only for a uniform signature.
     """
     from ..core.stream import ContinuousQuery, synthetic_events
 
-    scale = scale or current_scale()
+    del scale
     cache = cache or EngineCache()
     engine = cache.engine(venue_name)
-    rng = random.Random(_seed("stream", venue_name))
+    rng = random.Random(zlib_seed("stream", venue_name))
     facilities = random_facility_sets(
         engine.venue, STREAM_FE, STREAM_FN, rng
     )
@@ -581,39 +548,34 @@ def stream_replay(
             engine.venue,
             initial=STREAM_INITIAL,
             events=count,
-            seed=_seed("stream-events", venue_name, count),
+            seed=zlib_seed("stream-events", venue_name, count),
         )
         finals = {}
         for mode in ("incremental", "oracle"):
-            times: List[float] = []
-            final = None
-            for _ in range(scale.repeats):
-                stream = ContinuousQuery(
-                    engine,
-                    facilities,
-                    incremental=(mode == "incremental"),
-                )
-                started = time.perf_counter()
-                stream.apply_batch(events)
-                times.append(time.perf_counter() - started)
-                final = stream.answer()
-            assert final is not None
+            stream = ContinuousQuery(
+                engine, facilities, incremental=(mode == "incremental")
+            )
+            started = time.perf_counter()
+            stream.apply_batch(events)
+            seconds = time.perf_counter() - started
+            final = stream.answer()
             finals[mode] = (final.answer, final.objective, final.status)
             rows.append(
                 Row(
-                    experiment="stream",
+                    experiment="replay",
                     venue=venue_name,
                     setting="replay",
                     parameter="events",
                     value=count,
                     algorithm=mode,
-                    time_seconds=min(times),
+                    time_seconds=seconds,
                     memory_mb=0.0,
                     objective=(
                         final.objective
                         if final.objective != float("inf")
                         else None
                     ),
+                    clients=stream.client_count,
                 )
             )
         if finals["incremental"] != finals["oracle"]:
@@ -625,14 +587,13 @@ def stream_replay(
     return rows
 
 
+#: Every experiment sweep, by the name of the suite it is.
 EXPERIMENTS: Dict[str, Callable[..., List[Row]]] = {
     "fig5": fig5,
     "fig6": fig6,
-    "fig7": fig78,
-    "fig8": fig78,
     "fig78": fig78,
     "ablation": ablations,
     "extensions": extensions,
     "parallel": parallel_scaling,
-    "stream": stream_replay,
+    "replay": stream_replay,
 }

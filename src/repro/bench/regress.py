@@ -18,11 +18,21 @@ revision.  A *gate* re-runs the suite and compares metric by metric:
 
 The gate report names every drifted metric with its baseline/current
 values, so a CI failure is actionable without re-running anything.
-Entry points: :func:`record_baseline`, :func:`gate`, the ``ifls
-perfgate`` CLI, and ``tools/perf_gate.py``.  Suite executions run
-under the ``perfgate.suite`` span; every comparison increments the
-``perfgate.comparisons`` / ``perfgate.drifted_metrics`` contract
-metrics.
+
+This is also the one way an experiment is measured and stored: each
+sweep of :mod:`repro.bench.experiments` is a suite here (``fig5``,
+``fig6``, ``fig78``, ``ablation``, ``extensions``, ``parallel``,
+``replay``) whose rows become metrics (:func:`row_metrics`): per row
+the objective and the client count that ran are exact, seconds and
+peak MB are wall.  Their baselines live under
+``benchmarks/recorded/``, in the same schema, and are what
+``ifls report`` renders.  Recording refuses a suite whose exact
+metrics differ between runs.
+
+Entry points: :func:`record_baseline`, :func:`gate` and the ``ifls
+perfgate`` CLI.  Suite executions run under the ``perfgate.suite``
+span; every comparison increments the ``perfgate.comparisons`` /
+``perfgate.drifted_metrics`` contract metrics.
 """
 
 from __future__ import annotations
@@ -34,11 +44,21 @@ import statistics
 import subprocess
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
+from .experiments import (
+    EXPERIMENTS,
+    STREAM_FE,
+    STREAM_FN,
+    STREAM_INITIAL,
+    STREAM_VENUE,
+    Row,
+    zlib_seed,
+)
 
 __all__ = [
     "BASELINE_SCHEMA",
@@ -54,6 +74,8 @@ __all__ = [
     "GateReport",
     "machine_fingerprint",
     "git_sha",
+    "row_metrics",
+    "metric_rows",
     "run_suite",
     "record_baseline",
     "load_baseline",
@@ -212,11 +234,9 @@ def _suite_small() -> Dict[str, MetricSample]:
     facilities = random_facility_sets(venue, 10, 20, rng)
     clients = uniform_clients(venue, 200, rng)
     for algorithm in ("efficient", "baseline"):
-        started = time.perf_counter()
         result = engine.query(
             clients, facilities, algorithm=algorithm, cold=True
         )
-        seconds = time.perf_counter() - started
         distance = result.stats.distance
         metrics[f"fig5.{algorithm}.distance_computations"] = (
             float(distance.distance_computations), EXACT,
@@ -225,7 +245,9 @@ def _suite_small() -> Dict[str, MetricSample]:
             float(-1 if result.answer is None else result.answer),
             EXACT,
         )
-        metrics[f"fig5.{algorithm}.seconds"] = (seconds, WALL)
+        metrics[f"fig5.{algorithm}.seconds"] = (
+            result.stats.elapsed_seconds, WALL,
+        )
         if algorithm == "efficient":
             metrics["fig5.efficient.clients_pruned"] = (
                 float(result.stats.clients_pruned), EXACT,
@@ -303,7 +325,6 @@ def _suite_matrix() -> Dict[str, MetricSample]:
                 if algorithm in ("mindist", "maxsum")
                 else "minmax"
             )
-            started = time.perf_counter()
             result = engine.core.query(
                 clients,
                 facilities,
@@ -311,7 +332,6 @@ def _suite_matrix() -> Dict[str, MetricSample]:
                 objective=objective,
                 cold=True,
             )
-            seconds = time.perf_counter() - started
             prefix = f"matrix.{venue_name}.viptree.{algorithm}"
             metrics[f"{prefix}.distance_computations"] = (
                 float(result.stats.distance.distance_computations),
@@ -321,7 +341,9 @@ def _suite_matrix() -> Dict[str, MetricSample]:
                 float(-1 if result.answer is None else result.answer),
                 EXACT,
             )
-            metrics[f"{prefix}.seconds"] = (seconds, WALL)
+            metrics[f"{prefix}.seconds"] = (
+                result.stats.elapsed_seconds, WALL,
+            )
 
         # -- d2d grid: the same seeded pairs through every backend.
         doors = sorted(engine.venue.door_ids())
@@ -345,23 +367,19 @@ def _suite_matrix() -> Dict[str, MetricSample]:
         scalar = IFLSEngine(
             engine.venue, tree=engine.tree, use_kernels=False
         )
-        started = time.perf_counter()
         scalar_result = scalar.query(clients, facilities, cold=True)
-        scalar_seconds = time.perf_counter() - started
         metrics[f"kernels.{venue_name}.distance_computations"] = (
             float(scalar_result.stats.distance.distance_computations),
             EXACT,
         )
         metrics[f"kernels.{venue_name}.off.seconds"] = (
-            scalar_seconds, WALL,
+            scalar_result.stats.elapsed_seconds, WALL,
         )
         if _kernels.available():
             fast = IFLSEngine(
                 engine.venue, tree=engine.tree, use_kernels=True
             )
-            started = time.perf_counter()
             fast_result = fast.query(clients, facilities, cold=True)
-            fast_seconds = time.perf_counter() - started
             if (
                 fast_result.stats.distance.distance_computations
                 != scalar_result.stats.distance.distance_computations
@@ -371,17 +389,13 @@ def _suite_matrix() -> Dict[str, MetricSample]:
                     f"diverged from the scalar oracle on {venue_name}"
                 )
             metrics[f"kernels.{venue_name}.on.seconds"] = (
-                fast_seconds, WALL,
+                fast_result.stats.elapsed_seconds, WALL,
             )
     return metrics
 
 
-#: Fixed ``stream`` suite workload (CPH venue): facility counts, the
-#: arrivals seeding the crowd, and the mixed arrive/depart/move tail.
-STREAM_VENUE = "CPH"
-STREAM_FE = 20
-STREAM_FN = 15
-STREAM_INITIAL = 200
+#: The ``stream`` suite's mixed arrive/depart/move tail, replayed on
+#: the stream workload of :mod:`repro.bench.experiments`.
 STREAM_EVENTS = 600
 
 
@@ -453,11 +467,71 @@ def _suite_stream() -> Dict[str, MetricSample]:
     return metrics
 
 
-def zlib_seed(*parts: object) -> int:
-    """Deterministic cross-process seed (``hash()`` is salted)."""
-    import zlib
+def row_metrics(rows: Iterable[Row]) -> Dict[str, MetricSample]:
+    """The metrics of experiment rows; :func:`metric_rows` inverts it.
 
-    return zlib.crc32(repr(parts).encode("utf-8"))
+    A row's metrics are named ``<experiment>.<venue>.<setting>.
+    <parameter>=<value>.<algorithm>.<field>``: ``objective`` and
+    ``clients`` (the count that ran) are exact, ``seconds`` and
+    ``peak_mb`` are wall.  A row without an objective or without a
+    memory pass omits that metric.
+    """
+    metrics: Dict[str, MetricSample] = {}
+    for row in rows:
+        prefix = ".".join(
+            (
+                row.experiment,
+                row.venue,
+                row.setting,
+                f"{row.parameter}={row.value:g}",
+                row.algorithm,
+            )
+        )
+        metrics[f"{prefix}.clients"] = (float(row.clients), EXACT)
+        metrics[f"{prefix}.seconds"] = (row.time_seconds, WALL)
+        if row.objective is not None:
+            metrics[f"{prefix}.objective"] = (row.objective, EXACT)
+        if row.memory_mb > 0:
+            metrics[f"{prefix}.peak_mb"] = (row.memory_mb, WALL)
+    return metrics
+
+
+def metric_rows(metrics: Dict[str, MetricSample]) -> List[Row]:
+    """Rows back from :func:`row_metrics` names, in metric order.
+
+    Experiment and venue names hold no ``.``, settings no ``=``, and
+    algorithm names no ``.``; the split below relies on exactly that.
+    """
+    fields: Dict[str, Dict[str, float]] = {}
+    for name, (value, _kind) in metrics.items():
+        prefix, _, field_name = name.rpartition(".")
+        fields.setdefault(prefix, {})[field_name] = value
+    rows = []
+    for prefix, values in fields.items():
+        head, _, algorithm = prefix.rpartition(".")
+        head, _, value = head.rpartition("=")
+        experiment, venue, rest = head.split(".", 2)
+        setting, _, parameter = rest.rpartition(".")
+        rows.append(
+            Row(
+                experiment=experiment,
+                venue=venue,
+                setting=setting,
+                parameter=parameter,
+                value=float(value),
+                algorithm=algorithm,
+                time_seconds=values["seconds"],
+                memory_mb=values.get("peak_mb", 0.0),
+                objective=values.get("objective"),
+                clients=int(values["clients"]),
+            )
+        )
+    return rows
+
+
+def _experiment_suite(name: str) -> Dict[str, MetricSample]:
+    """One run of an experiment sweep at the ``REPRO_SCALE`` scale."""
+    return row_metrics(EXPERIMENTS[name]())
 
 
 #: Registered suites.  Tests may install fakes; the committed baseline
@@ -466,6 +540,7 @@ SUITES: Dict[str, Callable[[], Dict[str, MetricSample]]] = {
     "small": _suite_small,
     "matrix": _suite_matrix,
     "stream": _suite_stream,
+    **{name: partial(_experiment_suite, name) for name in EXPERIMENTS},
 }
 
 
@@ -482,7 +557,12 @@ def run_suite(name: str) -> Dict[str, MetricSample]:
 def _median_of_runs(
     name: str, runs: int
 ) -> Dict[str, MetricSample]:
-    """Per-metric medians over ``runs`` suite executions."""
+    """Per-metric medians over ``runs`` suite executions.
+
+    Raises ``ValueError`` when an exact metric differs between runs
+    (or is missing from one): a median would hide that the suite does
+    not repeat, and zero tolerance would then gate noise.
+    """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     samples: Dict[str, List[float]] = {}
@@ -491,6 +571,14 @@ def _median_of_runs(
         for metric, (value, kind) in run_suite(name).items():
             samples.setdefault(metric, []).append(value)
             kinds[metric] = kind
+    for metric, values in samples.items():
+        if kinds[metric] == EXACT and (
+            len(values) != runs or len(set(values)) > 1
+        ):
+            raise ValueError(
+                f"suite {name!r}: exact metric {metric} differs "
+                f"between runs: {values}"
+            )
     return {
         metric: (statistics.median(values), kinds[metric])
         for metric, values in samples.items()

@@ -1,21 +1,24 @@
-"""Programmatic EXPERIMENTS.md: recorded JSON in, Markdown out.
+"""Programmatic EXPERIMENTS.md: recorded baselines in, Markdown out.
 
 EXPERIMENTS.md is a build artifact, not a hand-maintained document.
 Following the SimCash paper-generator pattern (DataProvider → section
 generators → composed document), this module turns the recorded bench
 artifacts into the full report:
 
-* :class:`DataProvider` — the single source of truth.  It loads the
-  experiment JSON recorded by :func:`repro.bench.reporting.write_json`
-  (committed under ``benchmarks/recorded/``) and the perf-gate
-  baselines (``BENCH_<suite>.json``, the very files ``ifls perfgate``
-  enforces), and nothing else: no live measurements, no environment
+* :class:`DataProvider` — the single source of truth.  It loads every
+  file through :func:`repro.bench.regress.load_baseline`: the
+  experiment suites' baselines (committed under
+  ``benchmarks/recorded/``) and the perf-gate baselines
+  (``BENCH_<suite>.json``), all written by ``ifls perfgate --record``
+  with the recording machine's fingerprint, git revision and run
+  count.  Nothing else is read: no live measurements, no environment
   lookups, so composing is deterministic byte for byte;
 * **section generators** (``section_*``) — each renders one Markdown
   section from provider data.  Section generators contain **no numeric
   literals** (``tools/check_counters.py`` lints this): every number in
-  a generated table traces to a recorded JSON key or a harness
-  constant, never to a hand-typed value;
+  a generated table traces to a recorded metric or a harness constant,
+  never to a hand-typed value.  Every |C| label shows the client count
+  that ran beside the paper's count;
 * :func:`compose` — concatenates the registered :data:`SECTIONS` under
   the ``report.generate`` span, counting each rendered section on the
   ``report.sections`` metric;
@@ -23,9 +26,8 @@ artifacts into the full report:
   a committed copy against a fresh composition (the CI drift gate
   behind ``ifls report --check``).
 
-Because the provider reads the same ``BENCH_<suite>.json`` files the
-perf gate compares against, the report and the gate can never disagree
-about a number.
+Because the provider reads the very files ``ifls perfgate`` compares
+against, the report and the gate can never disagree about a number.
 """
 
 from __future__ import annotations
@@ -38,13 +40,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..datasets.venues import VENUE_NAMES
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from .experiments import Row
+from .experiments import DEFAULT_CLIENTS, PARALLEL_CLIENTS, PARAM_C, Row
 from .regress import (
     Baseline,
     MATRIX_ALGORITHMS,
     MATRIX_BACKENDS,
     MATRIX_VENUES,
     load_baseline,
+    metric_rows,
 )
 from .reporting import (
     fmt_count,
@@ -54,7 +57,6 @@ from .reporting import (
     fmt_seconds,
     group_rows,
     markdown_table,
-    read_json,
 )
 from .tables import table2_markdown
 
@@ -69,7 +71,7 @@ __all__ = [
     "check",
 ]
 
-#: Committed recorded-experiment JSON (``write_json`` documents).
+#: Committed experiment-suite baselines (``<suite>.json``).
 DEFAULT_RESULTS_DIR = Path("benchmarks/recorded")
 
 #: Directory holding the committed ``BENCH_<suite>.json`` baselines.
@@ -77,9 +79,6 @@ DEFAULT_BASELINE_DIR = Path(".")
 
 #: The document this module owns.
 DEFAULT_REPORT_PATH = Path("EXPERIMENTS.md")
-
-#: Parameter-name constants shared with the harness rows.
-PARAM_C = "|C|"
 
 #: The reference ablation variant (everything enabled).
 FULL_VARIANT = "full"
@@ -91,12 +90,12 @@ REFERENCE_BACKEND = "doortable"
 class DataProvider:
     """Loads recorded bench data once; answers every section's reads.
 
-    ``results_dir`` holds one ``<experiment>.json`` per recorded
-    experiment (schema of :func:`repro.bench.reporting.write_json`);
-    ``baseline_dir`` holds the committed ``BENCH_<suite>.json`` files.
-    Missing files are not errors — sections render an explicit
-    "not recorded" placeholder so partial fixtures (tests, cookbook
-    examples) compose cleanly.
+    ``results_dir`` holds one ``<suite>.json`` baseline per recorded
+    experiment suite; ``baseline_dir`` holds the committed
+    ``BENCH_<suite>.json`` files.  Both are read with
+    :func:`~repro.bench.regress.load_baseline`.  Missing files are not
+    errors — sections render an explicit "not recorded" placeholder so
+    partial fixtures (tests, cookbook examples) compose cleanly.
     """
 
     def __init__(
@@ -106,42 +105,30 @@ class DataProvider:
     ) -> None:
         self.results_dir = Path(results_dir)
         self.baseline_dir = Path(baseline_dir)
-        self._rows: Dict[str, List[Row]] = {}
-        self._documents: Dict[str, dict] = {}
-        self._baselines: Dict[str, Optional[Baseline]] = {}
+        self._files: Dict[Path, Optional[Baseline]] = {}
 
-    # -- experiment JSON -------------------------------------------------
+    def _load(self, path: Path) -> Optional[Baseline]:
+        if path not in self._files:
+            self._files[path] = (
+                load_baseline(path) if path.is_file() else None
+            )
+        return self._files[path]
+
+    # -- experiment suites -----------------------------------------------
     def experiments(self) -> List[str]:
-        """Sorted stems of every recorded experiment document."""
+        """Sorted names of every recorded experiment suite."""
         if not self.results_dir.is_dir():
             return []
         return sorted(p.stem for p in self.results_dir.glob("*.json"))
 
-    def document(self, experiment: str) -> dict:
-        """The raw recorded JSON document (``{}`` when absent)."""
-        if experiment not in self._documents:
-            path = self.results_dir / f"{experiment}.json"
-            if path.is_file():
-                import json
+    def experiment(self, name: str) -> Optional[Baseline]:
+        """One experiment suite's recording (``None`` when absent)."""
+        return self._load(self.results_dir / f"{name}.json")
 
-                with open(path) as handle:
-                    self._documents[experiment] = json.load(handle)
-            else:
-                self._documents[experiment] = {}
-        return self._documents[experiment]
-
-    def rows(self, experiment: str) -> List[Row]:
+    def rows(self, name: str) -> List[Row]:
         """Recorded rows of one experiment (empty when not recorded)."""
-        if experiment not in self._rows:
-            path = self.results_dir / f"{experiment}.json"
-            self._rows[experiment] = (
-                read_json(path) if path.is_file() else []
-            )
-        return self._rows[experiment]
-
-    def scale(self, experiment: str) -> str:
-        """The ``REPRO_SCALE`` the experiment was recorded at."""
-        return str(self.document(experiment).get("scale", ""))
+        recorded = self.experiment(name)
+        return [] if recorded is None else metric_rows(recorded.metrics)
 
     # -- perf-gate baselines ---------------------------------------------
     def suites(self) -> List[str]:
@@ -156,12 +143,7 @@ class DataProvider:
 
     def baseline(self, suite: str) -> Optional[Baseline]:
         """The committed baseline for ``suite`` (``None`` when absent)."""
-        if suite not in self._baselines:
-            path = self.baseline_dir / f"BENCH_{suite}.json"
-            self._baselines[suite] = (
-                load_baseline(path) if path.is_file() else None
-            )
-        return self._baselines[suite]
+        return self._load(self.baseline_dir / f"BENCH_{suite}.json")
 
     def metrics(self, suite: str) -> Dict[str, Tuple[float, str]]:
         """A suite's recorded ``name -> (value, kind)`` metrics."""
@@ -210,15 +192,45 @@ def _parameters(rows: Sequence[Row]) -> List[str]:
     return seen
 
 
-def _speedup_matrix(rows: Sequence[Row]):
-    """``(venue, setting) -> {value -> ratio}`` plus the value axis."""
+def _label(parameter: str, value: float, clients: int) -> str:
+    """Axis label of a swept value; a |C| label also shows the clients
+    that ran beside the paper's count."""
+    text = fmt_param(parameter, value)
+    if parameter == PARAM_C:
+        text += f" (ran {fmt_count(clients)})"
+    return text
+
+
+def _axis(rows: Sequence[Row]) -> List[Tuple[float, str]]:
+    """Swept values in ascending order, each with its axis label."""
+    ran: Dict[float, int] = {}
+    for row in rows:
+        ran.setdefault(row.value, row.clients)
+    parameter = rows[0].parameter
+    return [
+        (value, _label(parameter, value, ran[value]))
+        for value in sorted(ran)
+    ]
+
+
+def _clients_note(rows: Sequence[Row], paper_count: float) -> str:
+    """A sweep's fixed client count: the paper's, and the one that ran."""
+    ran = ", ".join(
+        fmt_count(clients)
+        for clients in sorted({row.clients for row in rows})
+    )
+    return (
+        f"Clients per query: {fmt_param(PARAM_C, paper_count)} "
+        f"(ran {ran})."
+    )
+
+
+def _speedups(rows: Sequence[Row]):
+    """``(venue, setting) -> {value -> ratio}``, baseline over efficient."""
     cells: "OrderedDict[Tuple[str, str], Dict[float, Optional[float]]]"
     cells = OrderedDict()
-    values: List[float] = []
     for key, by_algorithm in group_rows(rows).items():
         _, venue, setting, _, value = key
-        if value not in values:
-            values.append(value)
         base = by_algorithm.get("baseline")
         fast = by_algorithm.get("efficient")
         ratio = None
@@ -229,7 +241,7 @@ def _speedup_matrix(rows: Sequence[Row]):
         ):
             ratio = base.time_seconds / fast.time_seconds
         cells.setdefault((venue, setting), {})[value] = ratio
-    return sorted(values), cells
+    return cells
 
 
 def _render_speedup_table(
@@ -238,12 +250,15 @@ def _render_speedup_table(
     labeller: Callable[[str, str], str],
 ) -> str:
     """Speedup (baseline over efficient) per swept value."""
-    values, cells = _speedup_matrix(rows)
-    parameter = rows[0].parameter
-    header = [label] + [fmt_param(parameter, v) for v in values]
+    axis = _axis(rows)
+    order = _venue_order(rows)
+    cells = sorted(
+        _speedups(rows).items(),
+        key=lambda item: (order.index(item[0][0]), item[0][1]),
+    )
     out = []
-    for (venue, setting), by_value in cells.items():
-        ratios = [by_value.get(v) for v in values]
+    for (venue, setting), by_value in cells:
+        ratios = [by_value.get(value) for value, _ in axis]
         out.append(
             [labeller(venue, setting)]
             + [
@@ -251,34 +266,22 @@ def _render_speedup_table(
                 for ratio in ratios
             ]
         )
-    return markdown_table(header, out)
+    return markdown_table([label] + [text for _, text in axis], out)
 
 
-def _metric_matrix(rows: Sequence[Row], metric: str):
-    """``(venue, algorithm) -> {value -> figure}`` plus the value axis."""
+def _render_metric_table(rows: Sequence[Row], metric: str) -> str:
+    """Seconds/MB per swept value, one row per venue × algorithm."""
+    axis = _axis(rows)
+    formatter = fmt_seconds if metric == "time" else fmt_mb
     cells: "OrderedDict[Tuple[str, str], Dict[float, float]]"
     cells = OrderedDict()
-    values: List[float] = []
     for row in rows:
-        if row.value not in values:
-            values.append(row.value)
         figure = (
             row.time_seconds if metric == "time" else row.memory_mb
         )
         cells.setdefault((row.venue, row.algorithm), {})[row.value] = (
             figure
         )
-    return sorted(values), cells
-
-
-def _render_metric_table(rows: Sequence[Row], metric: str) -> str:
-    """Seconds/MB per swept value, one row per venue × algorithm."""
-    values, cells = _metric_matrix(rows, metric)
-    parameter = rows[0].parameter
-    formatter = fmt_seconds if metric == "time" else fmt_mb
-    header = ["venue / algorithm"] + [
-        fmt_param(parameter, v) for v in values
-    ]
     out = []
     for venue in _venue_order(rows):
         for (cell_venue, algorithm), by_value in cells.items():
@@ -288,12 +291,14 @@ def _render_metric_table(rows: Sequence[Row], metric: str) -> str:
                 [f"{venue} {algorithm}"]
                 + [
                     "—"
-                    if by_value.get(v) is None
-                    else formatter(by_value[v])
-                    for v in values
+                    if by_value.get(value) is None
+                    else formatter(by_value[value])
+                    for value, _ in axis
                 ]
             )
-    return markdown_table(header, out)
+    return markdown_table(
+        ["venue / algorithm"] + [text for _, text in axis], out
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -309,54 +314,40 @@ def section_provenance(provider: DataProvider) -> str:
         "`ifls report` to refresh the document.",
         "",
     ]
-    experiments = provider.experiments()
-    if experiments:
-        lines.append(
-            markdown_table(
-                ("recorded experiment", "scale", "rows"),
-                [
-                    (
-                        f"`benchmarks/recorded/{name}.json`",
-                        provider.scale(name) or "—",
-                        fmt_count(len(provider.rows(name))),
-                    )
-                    for name in experiments
-                ],
-            )
-        )
-    else:
-        lines.append(_missing("experiment JSON"))
-    suites = provider.suites()
-    if suites:
-        rows = []
-        for suite in suites:
-            baseline = provider.baseline(suite)
-            if baseline is None:
-                continue
-            rows.append(
+    files = [
+        (f"`{DEFAULT_RESULTS_DIR.as_posix()}/{name}.json`",
+         provider.experiment(name))
+        for name in provider.experiments()
+    ] + [
+        (f"`BENCH_{suite}.json`", provider.baseline(suite))
+        for suite in provider.suites()
+    ]
+    if not files:
+        lines.append(_missing("any suite baseline"))
+        return "\n".join(lines)
+    lines.append(
+        markdown_table(
+            (
+                "recorded file",
+                "median of runs",
+                "metrics",
+                "recorded at git",
+                "CPUs",
+                "kernels",
+            ),
+            [
                 (
-                    f"`BENCH_{suite}.json`",
+                    path,
                     fmt_count(baseline.runs),
                     fmt_count(len(baseline.metrics)),
                     _short_sha(baseline.git_sha),
-                    "on"
-                    if baseline.fingerprint.get("kernels")
-                    else "off",
+                    fmt_count(baseline.fingerprint.get("cpu_count") or 0),
+                    "on" if baseline.fingerprint.get("kernels") else "off",
                 )
-            )
-        lines.append("")
-        lines.append(
-            markdown_table(
-                (
-                    "perf-gate baseline",
-                    "median of runs",
-                    "metrics",
-                    "recorded at git",
-                    "kernels",
-                ),
-                rows,
-            )
+                for path, baseline in files
+            ],
         )
+    )
     return "\n".join(lines)
 
 
@@ -397,7 +388,7 @@ def section_headline(provider: DataProvider) -> str:
     if not rows:
         lines.append(_missing("the `fig78` sweep"))
         return "\n".join(lines)
-    _, cells = _speedup_matrix(rows)
+    cells = _speedups(rows)
     table_rows = []
     for venue in _venue_order(rows):
         series: "OrderedDict[float, float]" = OrderedDict()
@@ -412,13 +403,18 @@ def section_headline(provider: DataProvider) -> str:
             continue
         ratios = list(series.values())
         largest = max(series)
+        ran = next(
+            row.clients
+            for row in rows
+            if row.venue == venue and row.value == largest
+        )
         table_rows.append(
             (
                 venue,
                 f"{sum(ratios) / len(ratios):.2f}×",
                 f"{max(ratios):.2f}×",
                 f"{series[largest]:.2f}× @ "
-                f"{PARAM_C}={fmt_param(PARAM_C, largest)}",
+                f"{PARAM_C}={_label(PARAM_C, largest, ran)}",
             )
         )
     lines.append(
@@ -471,6 +467,7 @@ def section_fig6(provider: DataProvider) -> str:
     if not rows:
         lines.append(_missing("the `fig6` experiment"))
         return "\n".join(lines)
+    lines.extend([_clients_note(rows, DEFAULT_CLIENTS), ""])
     lines.append(
         _render_speedup_table(
             rows,
@@ -501,10 +498,11 @@ def section_fig7(provider: DataProvider) -> str:
         return "\n".join(lines)
     for parameter in _parameters(all_rows):
         rows = [r for r in all_rows if r.parameter == parameter]
+        lines.extend([f"### varying {parameter}", ""])
+        if parameter != PARAM_C:
+            lines.extend([_clients_note(rows, DEFAULT_CLIENTS), ""])
         lines.extend(
             [
-                f"### varying {parameter}",
-                "",
                 _render_metric_table(rows, "time"),
                 "",
                 _render_speedup_table(
@@ -535,10 +533,11 @@ def section_fig8(provider: DataProvider) -> str:
         return "\n".join(lines)
     for parameter in _parameters(all_rows):
         rows = [r for r in all_rows if r.parameter == parameter]
+        lines.extend([f"### varying {parameter}", ""])
+        if parameter != PARAM_C:
+            lines.extend([_clients_note(rows, DEFAULT_CLIENTS), ""])
         lines.extend(
             [
-                f"### varying {parameter}",
-                "",
                 _render_metric_table(rows, "memory"),
                 "",
             ]
@@ -561,6 +560,7 @@ def section_ablation(provider: DataProvider) -> str:
     if not rows:
         lines.append(_missing("the `ablation` experiment"))
         return "\n".join(lines)
+    lines.extend([_clients_note(rows, rows[0].value), ""])
     full = next(
         (row for row in rows if row.algorithm == FULL_VARIANT), None
     )
@@ -601,6 +601,7 @@ def section_extensions(provider: DataProvider) -> str:
     if not rows:
         lines.append(_missing("the `extensions` experiment"))
         return "\n".join(lines)
+    lines.extend([_clients_note(rows, rows[0].value), ""])
     table_rows = []
     agreements = []
     for key, by_algorithm in group_rows(rows).items():
@@ -652,19 +653,28 @@ def section_parallel(provider: DataProvider) -> str:
         "",
         "One warm batch answered through `run_batch_parallel` at each",
         "pool size (identical answers asserted).  Speedup is bounded",
-        "by the recording machine's cores; a single-core runner shows",
-        "the sharding overhead instead.",
+        "by the recording machine's cores, so none is printed for more",
+        "workers than its fingerprint's CPU count.",
         "",
     ]
     if not rows:
         lines.append(_missing("the `parallel` experiment"))
         return "\n".join(lines)
+    recorded = provider.experiment("parallel")
+    cpus = int(recorded.fingerprint.get("cpu_count") or 0)
+    lines.extend(
+        [
+            _clients_note(rows, PARALLEL_CLIENTS)
+            + f"  Recorded on {fmt_count(cpus)} CPUs.",
+            "",
+        ]
+    )
     serial = next((row for row in rows if row.value == 1), None)
     table_rows = []
     for row in sorted(rows, key=lambda r: r.value):
         speedup = (
             "—"
-            if serial is None
+            if serial is None or row.value > cpus
             else fmt_ratio(serial.time_seconds, row.time_seconds)
         )
         table_rows.append(
@@ -868,15 +878,18 @@ HEADER = """\
      Regenerate: PYTHONPATH=src python -m repro report
      Drift gate: PYTHONPATH=src python -m repro report --check -->
 
-This document is composed by `repro.bench.report` from the recorded
-artifacts under `benchmarks/recorded/` and the committed
-`BENCH_<suite>.json` perf-gate baselines — the same files `ifls
-perfgate` enforces — so the report and the perf gate cannot disagree.
-No number below is typed by hand (`tools/check_counters.py` lints the
-section generators for numeric literals).  Absolute magnitudes
-describe the recording machine and pure-CPython implementations; the
-comparison to the paper is about shape — who wins, and how the curves
-move with each parameter (methodology substitutions: DESIGN.md).
+This document is composed by `repro.bench.report` from the suite
+baselines under `benchmarks/recorded/` and the committed
+`BENCH_<suite>.json` files, all recorded by `ifls perfgate --record`
+— the same files `ifls perfgate` enforces — so the report and the
+perf gate cannot disagree.  No number below is typed by hand
+(`tools/check_counters.py` lints the section generators for numeric
+literals).  A |C| label names the paper's client count and, in
+brackets, the count that ran at the recorded scale.  Absolute
+magnitudes describe the recording machine and pure-CPython
+implementations; the comparison to the paper is about shape — who
+wins, and how the curves move with each parameter (methodology
+substitutions: DESIGN.md).
 
 ```bash
 ifls report --check

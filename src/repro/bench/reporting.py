@@ -1,32 +1,18 @@
-"""Formatting and persistence of benchmark results.
+"""Formatting and CSV persistence of benchmark rows.
 
 Renders the paper-style series (one line per parameter value, with the
-two algorithms side by side and the efficient-over-baseline speedup)
-and writes machine-readable CSV and JSON next to the text output.  The
-JSON form carries run metadata (experiment, scale, schema version) so
-CI can archive one self-describing artifact per experiment and a perf
-trajectory accumulates across builds.
-
-Observability snapshots reuse the same CSV conventions:
-:func:`write_metrics_csv` / :func:`read_metrics_csv` (re-exported from
-:mod:`repro.obs.exporters`) persist a metrics-registry snapshot — one
-row per instrument — so a bench run can archive its ``query.*`` /
-``cache.*`` / ``parallel.*`` metrics next to the experiment CSVs.
+two algorithms side by side and the efficient-over-baseline speedup),
+the Markdown tables and number formats of the generated report, and
+the CSV that ``ifls bench --out`` writes next to its text output.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..obs.exporters import (  # noqa: F401  (re-exported)
-    METRICS_CSV_COLUMNS,
-    read_metrics_csv,
-    write_metrics_csv,
-)
 from .experiments import Row
 
 
@@ -122,40 +108,6 @@ def summarize_speedups(rows: Sequence[Row]) -> Dict[str, Tuple[float, float]]:
     }
 
 
-def format_cache_effectiveness(
-    entries: Sequence[Tuple[str, Dict[str, int]]],
-    title: str = "Cache effectiveness",
-) -> str:
-    """Render labelled :class:`DistanceStats` snapshots side by side.
-
-    Every report that compares runs (cold vs warm sessions, efficient
-    vs baseline) uses this table so cache behaviour is visible next to
-    the raw operation counts: computations actually paid, memo hits,
-    the hit rate, and evictions under a bounded cache budget.
-    """
-    header = (
-        f"{'label':<18}{'computed':>10}{'hits':>10}{'hit_rate':>9}"
-        f"{'d2d_lookups':>12}{'evictions':>10}"
-    )
-    lines = [title, header, "-" * len(header)]
-    for label, snap in entries:
-        hits = (
-            snap.get("d2d_cache_hits", 0)
-            + snap.get("imind_cache_hits", 0)
-            + snap.get("imind_node_cache_hits", 0)
-        )
-        computed = snap.get("distance_computations", 0)
-        calls = computed + hits
-        rate = f"{hits / calls:.0%}" if calls else "-"
-        lines.append(
-            f"{label:<18}"
-            f"{computed:>10}{hits:>10}{rate:>9}"
-            f"{snap.get('d2d_lookups', 0):>12}"
-            f"{snap.get('cache_evictions', 0):>10}"
-        )
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # Markdown rendering (used by repro.bench.report)
 # ---------------------------------------------------------------------------
@@ -226,75 +178,10 @@ def read_csv(path: Path) -> List[Row]:
                         if record["objective"]
                         else None
                     ),
+                    clients=int(record["clients"]),
                 )
             )
     return rows
-
-
-def write_json(
-    rows: Iterable[Row],
-    path: Path,
-    experiment: str = "",
-    scale: str = "",
-) -> None:
-    """Persist rows as a self-describing JSON document.
-
-    Schema (version 1)::
-
-        {"schema": 1, "experiment": "...", "scale": "...",
-         "rows": [{"experiment": ..., "venue": ..., ...}, ...]}
-
-    Row fields mirror :func:`write_csv` columns with native types
-    (``objective`` is ``null`` when absent).
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    document = {
-        "schema": 1,
-        "experiment": experiment,
-        "scale": scale,
-        "rows": [
-            {
-                "experiment": row.experiment,
-                "venue": row.venue,
-                "setting": row.setting,
-                "parameter": row.parameter,
-                "value": row.value,
-                "algorithm": row.algorithm,
-                "time_seconds": row.time_seconds,
-                "memory_mb": row.memory_mb,
-                "objective": row.objective,
-            }
-            for row in rows
-        ],
-    }
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-
-
-def read_json(path: Path) -> List[Row]:
-    """Load rows previously persisted with :func:`write_json`."""
-    with open(path) as handle:
-        document = json.load(handle)
-    return [
-        Row(
-            experiment=record["experiment"],
-            venue=record["venue"],
-            setting=record["setting"],
-            parameter=record["parameter"],
-            value=float(record["value"]),
-            algorithm=record["algorithm"],
-            time_seconds=float(record["time_seconds"]),
-            memory_mb=float(record["memory_mb"]),
-            objective=(
-                None
-                if record["objective"] is None
-                else float(record["objective"])
-            ),
-        )
-        for record in document["rows"]
-    ]
 
 
 def write_csv(rows: Iterable[Row], path: Path) -> None:
@@ -306,6 +193,7 @@ def write_csv(rows: Iterable[Row], path: Path) -> None:
             [
                 "experiment", "venue", "setting", "parameter", "value",
                 "algorithm", "time_seconds", "memory_mb", "objective",
+                "clients",
             ]
         )
         for row in rows:
@@ -315,5 +203,6 @@ def write_csv(rows: Iterable[Row], path: Path) -> None:
                     row.value, row.algorithm,
                     f"{row.time_seconds:.6f}", f"{row.memory_mb:.4f}",
                     "" if row.objective is None else f"{row.objective:.6f}",
+                    row.clients,
                 ]
             )

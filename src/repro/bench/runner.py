@@ -1,13 +1,16 @@
-"""Harness entry point: run paper experiments and print their series.
+"""``ifls bench``: print one run of the paper's experiments.
 
-Usage (also exposed as ``ifls bench`` / ``python -m repro bench``)::
+Usage (also exposed as ``python -m repro bench``)::
 
     python -m repro bench --experiment fig7 --scale small
     python -m repro bench --experiment all --out bench_results/
 
-Each experiment prints the same series the paper's figure reports (one
-line per parameter value, efficient vs baseline, with speedups) and can
-persist CSV for plotting.
+A measured experiment is one run of its perf-gate suite
+(:data:`repro.bench.regress.SUITES`), read back into rows through the
+metric schema the suite records, and printed as the paper's figure
+reports it: one line per parameter value, efficient vs baseline, with
+speedups.  ``--out`` also writes the rows as CSV.  Nothing here
+measures; ``ifls perfgate --record`` stores a suite's medians.
 """
 
 from __future__ import annotations
@@ -15,145 +18,85 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from .experiments import (
-    EngineCache,
-    Row,
-    Scale,
-    ablations,
-    current_scale,
-    extensions,
-    fig5,
-    fig6,
-    fig78,
-    parallel_scaling,
-    stream_replay,
-)
-from .counters import (
-    format_counters,
-    format_parallel_counters,
-    format_session_counters,
-    measure_counters,
-    measure_parallel_counters,
-    measure_session_counters,
-)
+from . import regress
+from .experiments import Row, current_scale
 from .plots import plot_rows
-from .reporting import (
-    format_series,
-    summarize_speedups,
-    write_csv,
-    write_json,
-)
+from .reporting import format_series, summarize_speedups, write_csv
 from .tables import format_table1, format_table2
 
-_FIGURES = {
-    "fig5": (fig5, "Figure 5: effect of |C| (real setting, MC)"),
-    "fig6": (fig6, "Figure 6: effect of sigma (real + synthetic)"),
-    "fig7": (fig78, "Figure 7: |C|, |Fe|, |Fn| vs time (synthetic)"),
-    "fig8": (fig78, "Figure 8: |C|, |Fe|, |Fn| vs memory (synthetic)"),
-    "ablation": (ablations, "Ablations: efficient-approach variants"),
-    "extensions": (extensions, "Extensions: MinDist / MaxSum (Section 7)"),
+#: Measured experiments: the suite each prints, and its title.
+#: Figures 7 and 8 are the time and memory views of one suite.
+_EXPERIMENTS = {
+    "fig5": ("fig5", "Figure 5: effect of |C| (real setting, MC)"),
+    "fig6": ("fig6", "Figure 6: effect of sigma (real + synthetic)"),
+    "fig7": ("fig78", "Figure 7: |C|, |Fe|, |Fn| vs time (synthetic)"),
+    "fig8": ("fig78", "Figure 8: |C|, |Fe|, |Fn| vs memory (synthetic)"),
+    "ablation": ("ablation", "Ablations: efficient-approach variants"),
+    "extensions": (
+        "extensions", "Extensions: MinDist / MaxSum (Section 7)",
+    ),
+    "parallel": (
+        "parallel", "Parallel batch executor: wall-clock vs workers",
+    ),
+    "replay": (
+        "replay", "Continuous IFLS: incremental vs oracle replay",
+    ),
 }
 
-ALL_EXPERIMENTS = ("table1", "table2", "fig5", "fig6", "fig7", "fig8",
-                   "ablation", "extensions", "counters", "session",
-                   "parallel", "stream")
+ALL_EXPERIMENTS = ("table1", "table2") + tuple(_EXPERIMENTS)
 
 
 def run_experiment(
     name: str,
-    scale: Optional[Scale] = None,
-    cache: Optional[EngineCache] = None,
     out_dir: Optional[Path] = None,
     echo=print,
+    suite_rows: Optional[Dict[str, List[Row]]] = None,
 ) -> List[Row]:
-    """Run one experiment, print its series, optionally persist CSV."""
-    scale = scale or current_scale()
-    cache = cache or EngineCache()
+    """Print one experiment; optionally persist its rows as CSV.
+
+    ``suite_rows`` carries rows already printed from a suite run, so
+    Figures 7 and 8 share one run of ``fig78``.
+    """
     if name == "table1":
         echo(format_table1())
         return []
     if name == "table2":
         echo(format_table2())
         return []
-    if name == "counters":
-        echo(format_counters(measure_counters(scale=scale, cache=cache)))
-        return []
-    if name == "session":
-        echo(format_session_counters(
-            measure_session_counters(scale=scale, cache=cache)
-        ))
-        return []
-    if name == "parallel":
-        rows = parallel_scaling(scale=scale, cache=cache)
-        echo(format_series(
-            rows, metric="time",
-            title=(
-                f"Parallel batch executor: wall-clock vs workers "
-                f"[scale={scale.name}]"
-            ),
-        ))
-        serial = next(
-            (r for r in rows if r.value == 1 and r.time_seconds > 0),
-            None,
-        )
-        if serial is not None:
-            echo("")
-            echo("Scaling vs 1 worker (same batch, identical answers):")
-            for row in rows:
-                speedup = serial.time_seconds / row.time_seconds
-                echo(
-                    f"  workers={int(row.value):<3} "
-                    f"{row.time_seconds:8.3f}s   {speedup:5.2f}x"
-                )
-        echo("")
-        echo(format_parallel_counters(
-            measure_parallel_counters(scale=scale, cache=cache)
-        ))
-        _persist(rows, name, scale, out_dir, echo)
-        return rows
-    if name == "stream":
-        rows = stream_replay(scale=scale, cache=cache)
-        echo(format_series(
-            rows, metric="time",
-            title=(
-                f"Continuous IFLS: incremental vs oracle replay "
-                f"[scale={scale.name}]"
-            ),
-        ))
-        echo("")
-        echo("Speedup (incremental over per-event recompute, "
-             "identical final answers):")
-        by_count: Dict[float, Dict[str, float]] = {}
-        for row in rows:
-            by_count.setdefault(row.value, {})[row.algorithm] = (
-                row.time_seconds
-            )
-        for value in sorted(by_count):
-            pair = by_count[value]
-            if "incremental" in pair and "oracle" in pair:
-                speedup = (
-                    pair["oracle"] / pair["incremental"]
-                    if pair["incremental"] > 0
-                    else float("inf")
-                )
-                echo(
-                    f"  events={int(value):<5} "
-                    f"oracle {pair['oracle']:8.3f}s   "
-                    f"incremental {pair['incremental']:8.3f}s   "
-                    f"{speedup:5.2f}x"
-                )
-        _persist(rows, name, scale, out_dir, echo)
-        return rows
     try:
-        fn, title = _FIGURES[name]
+        suite, title = _EXPERIMENTS[name]
     except KeyError:
         raise ValueError(
             f"unknown experiment {name!r}; choose from {ALL_EXPERIMENTS}"
         ) from None
-    rows = fn(scale=scale, cache=cache)
+    suite_rows = suite_rows if suite_rows is not None else {}
+    if suite not in suite_rows:
+        suite_rows[suite] = regress.metric_rows(regress.run_suite(suite))
+    rows = suite_rows[suite]
     metric = "memory" if name == "fig8" else "time"
-    echo(format_series(rows, metric=metric,
-                       title=f"{title} [scale={scale.name}]"))
+    echo(format_series(
+        rows, metric=metric,
+        title=f"{title} [scale={current_scale().name}]",
+    ))
+    if name == "parallel":
+        serial = next((row for row in rows if row.value == 1), None)
+        _echo_ratios(
+            "Scaling vs 1 worker (same batch, identical answers):",
+            [(f"workers={row.value:g}", serial, row) for row in rows],
+            echo,
+        )
+    elif name == "replay":
+        oracle = {r.value: r for r in rows if r.algorithm == "oracle"}
+        _echo_ratios(
+            "Speedup (incremental over per-event recompute, identical "
+            "final answers):",
+            [
+                (f"events={row.value:g}", oracle.get(row.value), row)
+                for row in rows
+                if row.algorithm == "incremental"
+            ],
+            echo,
+        )
     if name.startswith("fig"):
         echo("")
         echo(plot_rows(rows, metric=metric))
@@ -167,57 +110,36 @@ def run_experiment(
         echo("Speedup summary (efficient over baseline, time):")
         for label, (mean, peak) in sorted(speedups.items()):
             echo(f"  {label:<40} mean {mean:6.2f}x   max {peak:6.2f}x")
-    _persist(rows, name, scale, out_dir, echo)
+    if out_dir is not None and rows:
+        csv_path = Path(out_dir) / f"{name}.csv"
+        write_csv(rows, csv_path)
+        echo(f"\nwrote {csv_path}")
     return rows
 
 
-def _persist(
-    rows: List[Row],
-    name: str,
-    scale: Scale,
-    out_dir: Optional[Path],
-    echo,
-) -> None:
-    """Write CSV + JSON artifacts for one experiment's rows."""
-    if out_dir is None or not rows:
-        return
-    csv_path = Path(out_dir) / f"{name}.csv"
-    write_csv(rows, csv_path)
-    json_path = Path(out_dir) / f"{name}.json"
-    write_json(rows, json_path, experiment=name, scale=scale.name)
-    echo(f"\nwrote {csv_path} and {json_path}")
+def _echo_ratios(title: str, pairs, echo) -> None:
+    """``(label, reference row, row)`` time ratios, one line each."""
+    echo("")
+    echo(title)
+    for label, base, row in pairs:
+        if base is not None and row.time_seconds > 0:
+            echo(
+                f"  {label:<12} {row.time_seconds:8.3f}s   "
+                f"{base.time_seconds / row.time_seconds:5.2f}x"
+            )
 
 
 def run_all(
-    scale: Optional[Scale] = None,
     out_dir: Optional[Path] = None,
     experiments: Sequence[str] = ALL_EXPERIMENTS,
     echo=print,
 ) -> Dict[str, List[Row]]:
-    """Run every experiment, reusing venue engines across them.
-
-    Figures 7 and 8 are two views (time / memory) of the *same* runs,
-    so when both are requested the measured rows are shared instead of
-    re-running the sweeps.
-    """
-    scale = scale or current_scale()
-    cache = EngineCache()
+    """Print every experiment; Figures 7 and 8 share one suite run."""
+    suite_rows: Dict[str, List[Row]] = {}
     results: Dict[str, List[Row]] = {}
     for name in experiments:
         echo(f"\n{'#' * 70}\n# {name}\n{'#' * 70}")
-        if name == "fig8" and "fig7" in results:
-            rows = results["fig7"]
-            echo(format_series(
-                rows, metric="memory",
-                title=f"Figure 8 (memory view of the Figure-7 runs) "
-                      f"[scale={scale.name}]",
-            ))
-            echo("")
-            echo(plot_rows(rows, metric="memory"))
-            _persist(rows, "fig8", scale, out_dir, echo)
-            results[name] = rows
-            continue
         results[name] = run_experiment(
-            name, scale=scale, cache=cache, out_dir=out_dir, echo=echo
+            name, out_dir=out_dir, echo=echo, suite_rows=suite_rows
         )
     return results

@@ -22,10 +22,12 @@ Installed as ``ifls`` (see pyproject) and runnable as
   MinMax answer incrementally; ``--oracle`` recomputes from scratch
   on every event instead;
 * ``ifls perfgate`` — compare a bench suite against its committed
-  ``BENCH_<suite>.json`` baseline (``--record`` refreshes it);
-* ``ifls report`` — regenerate EXPERIMENTS.md from the recorded bench
-  JSON and perf-gate baselines (``--check`` diffs instead of writing);
-* ``ifls bench`` — regenerate the paper's tables and figures.
+  baseline (``--record`` refreshes it); every recorded experiment is
+  such a suite;
+* ``ifls report`` — regenerate EXPERIMENTS.md from the recorded suite
+  baselines (``--check`` diffs instead of writing);
+* ``ifls bench`` — print the paper's tables and one run of each
+  experiment suite as its figure.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .bench.runner import ALL_EXPERIMENTS, run_all, run_experiment
-from .bench.experiments import SCALES, current_scale, default_fe, default_fn
+from .bench.experiments import SCALES, default_fe, default_fn
 from .core.queries import MINMAX, OBJECTIVES, IFLSEngine
 from .datasets.venues import EXPECTED_STATS, VENUE_NAMES, venue_by_name
 from .datasets.workloads import workload
@@ -110,7 +112,6 @@ def _cmd_query_inner(args: argparse.Namespace) -> int:
         sigma=args.sigma,
     )
     engine = _query_engine(args, venue)
-    started = time.perf_counter()
     result = engine.query(
         clients,
         facilities,
@@ -118,7 +119,6 @@ def _cmd_query_inner(args: argparse.Namespace) -> int:
         algorithm=args.algorithm,
         cold=True,
     )
-    elapsed = time.perf_counter() - started
     print(f"venue:      {venue.name} ({venue.partition_count} partitions)")
     print(f"workload:   |C|={len(clients)} |Fe|={fe} |Fn|={fn} "
           f"seed={args.seed} dist={args.distribution}")
@@ -126,8 +126,8 @@ def _cmd_query_inner(args: argparse.Namespace) -> int:
           f"(kernels {'on' if engine.use_kernels else 'off'})")
     print(f"answer:     partition {result.answer} ({result.status})")
     print(f"objective:  {result.objective:.4f}")
-    print(f"time:       {elapsed:.3f}s")
     stats = result.stats
+    print(f"time:       {stats.elapsed_seconds:.3f}s")
     print(f"stats:      pruned={stats.clients_pruned}/"
           f"{stats.clients_total} retrieved={stats.facilities_retrieved} "
           f"queue pops={stats.queue_pops}")
@@ -326,7 +326,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_bytes_budget=args.cache_bytes_budget,
         flush_window=args.flush_window,
         max_batch=args.max_batch,
-        workers=args.workers,
         request_timeout=args.request_timeout,
         flight_capacity=args.flight_capacity,
         slow_query_seconds=slow if slow > 0 else None,
@@ -393,31 +392,34 @@ def _cmd_perfgate(args: argparse.Namespace) -> int:
         if args.baseline is not None
         else regress.default_baseline_path(args.suite)
     )
-    if args.record:
-        runs = args.runs if args.runs is not None else 5
-        baseline = regress.record_baseline(
-            args.suite, runs=runs, path=baseline_path
-        )
-        print(
-            f"recorded {len(baseline.metrics)} metrics "
-            f"(median of {runs}) to {baseline_path}"
-        )
-        return 0
-    if not baseline_path.is_file():
+    if not args.record and not baseline_path.is_file():
         print(
             f"perf gate: no baseline at {baseline_path}; record one "
             "with --record",
             file=sys.stderr,
         )
         return 1
-    runs = args.runs if args.runs is not None else 3
-    report = regress.gate(
-        args.suite,
-        baseline_path,
-        runs=runs,
-        wall_tolerance=args.wall_tolerance,
-        strict_wall=args.strict_wall,
-    )
+    try:
+        if args.record:
+            runs = args.runs if args.runs is not None else 5
+            baseline = regress.record_baseline(
+                args.suite, runs=runs, path=baseline_path
+            )
+            print(
+                f"recorded {len(baseline.metrics)} metrics "
+                f"(median of {runs}) to {baseline_path}"
+            )
+            return 0
+        report = regress.gate(
+            args.suite,
+            baseline_path,
+            runs=args.runs if args.runs is not None else 3,
+            wall_tolerance=args.wall_tolerance,
+            strict_wall=args.strict_wall,
+        )
+    except ValueError as exc:
+        print(f"perf gate: {exc}", file=sys.stderr)
+        return 1
     text = report.describe()
     print(text)
     if args.out is not None:
@@ -594,12 +596,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if args.scale:
         os.environ["REPRO_SCALE"] = args.scale
-    scale = current_scale()
     out_dir = Path(args.out) if args.out else None
     if args.experiment == "all":
-        run_all(scale=scale, out_dir=out_dir)
+        run_all(out_dir=out_dir)
     else:
-        run_experiment(args.experiment, scale=scale, out_dir=out_dir)
+        run_experiment(args.experiment, out_dir=out_dir)
     return 0
 
 
@@ -725,9 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=64,
                        help="flush as soon as this many requests "
                             "are pending")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="process-pool shards per coalesced batch "
-                            "(1 = serial warm session)")
     serve.add_argument("--cache-budget", type=int, default=None,
                        help="max memoised distance entries per "
                             "session (default unbounded)")
@@ -795,10 +793,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     perfgate = sub.add_parser(
         "perfgate",
-        help="compare a bench suite against its committed baseline",
+        help="record a bench suite, or gate it against its baseline",
     )
     perfgate.add_argument("--suite", default="small",
-                          help="metric suite (default: small)")
+                          help="metric suite (default: small); the "
+                               "experiment suites run at REPRO_SCALE")
     perfgate.add_argument("--baseline", metavar="PATH", default=None,
                           help="baseline file (default: "
                                "BENCH_<suite>.json in the cwd)")
@@ -823,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("--results", metavar="DIR",
                         default="benchmarks/recorded",
-                        help="recorded experiment JSON directory")
+                        help="directory of recorded experiment suites")
     report.add_argument("--baselines", metavar="DIR", default=".",
                         help="directory with BENCH_<suite>.json files")
     report.add_argument("--out", metavar="PATH", default="EXPERIMENTS.md",
@@ -882,7 +881,8 @@ def build_parser() -> argparse.ArgumentParser:
     validate.set_defaults(fn=_cmd_validate)
 
     bench = sub.add_parser(
-        "bench", help="regenerate the paper's tables/figures"
+        "bench",
+        help="print the paper's tables and one run of each experiment",
     )
     bench.add_argument("--experiment", default="all",
                        choices=("all",) + ALL_EXPERIMENTS)

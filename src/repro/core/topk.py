@@ -11,12 +11,14 @@ three objectives with an exact branch-and-bound evaluator:
   distance from the *worst* client, so good candidates are seen early
   and the running k-th best value ``tau`` becomes tight quickly;
 * a candidate's evaluation aborts as soon as its partial objective can
-  no longer beat ``tau`` (MinMax: the running max only grows; MinDist:
-  the running sum only grows; MaxSum: remaining clients bound the
-  achievable win count).
+  no longer beat the k-th best entry (MinMax: the running max only
+  grows; MinDist: the running sum only grows; MaxSum: remaining
+  clients bound the achievable win count).
 
 The result order is deterministic: objective value first, partition id
-second.
+second.  The k-best heap is ordered the same way, and an evaluation
+stops only once it loses to the k-th entry under that order, so a
+candidate that ties the k-th value with a smaller id still enters.
 """
 
 from __future__ import annotations
@@ -95,36 +97,34 @@ def top_k_ifls(
     clients = problem.clients
     stats = TopKStats()
 
-    # Max-heap (by negated goodness) of the current best k:
-    # entries are (sort_key, candidate) where smaller sort_key = better.
-    heap: List[Tuple[float, int]] = []  # (-sort_key, candidate): worst on top
+    # The current best k as a max-heap of negated ``(key, candidate)``
+    # orders: the k-th best (the one to beat) is on top.
+    heap: List[Tuple[float, int]] = []
 
-    def kth_bound() -> float:
+    def kth() -> Tuple[float, float]:
+        """``(key, candidate)`` a candidate must beat; open while the
+        heap is not full."""
         if len(heap) < min(k, len(order)):
-            return INFINITY
-        return -heap[0][0]
+            return (INFINITY, INFINITY)
+        return (-heap[0][0], -heap[0][1])
 
     values = {}
     for candidate in order:
         stats.candidates_evaluated += 1
-        tau = kth_bound()
         value = _evaluate(
-            engine, clients, de, candidate, objective, tau, stats
+            engine, clients, de, candidate, objective, kth(), stats
         )
         if value is None:
             stats.evaluations_aborted += 1
             continue
         values[candidate] = value
-        sort_key = _sort_key(value, objective)
+        entry = (-_sort_key(value, objective), -candidate)
         if len(heap) < k:
-            heapq.heappush(heap, (-sort_key, candidate))
-        elif sort_key < -heap[0][0]:
-            heapq.heapreplace(heap, (-sort_key, candidate))
+            heapq.heappush(heap, entry)
+        elif entry > heap[0]:
+            heapq.heapreplace(heap, entry)
 
-    chosen = sorted(
-        ((-neg, candidate) for neg, candidate in heap),
-        key=lambda item: (item[0], item[1]),
-    )
+    chosen = sorted((-neg, -candidate) for neg, candidate in heap)
     return (
         [
             RankedCandidate(
@@ -143,10 +143,18 @@ def _sort_key(value: float, objective: str) -> float:
     return -value if objective == MAXSUM else value
 
 
-def _evaluate(
-    engine, clients, de, candidate, objective, tau, stats
-):
-    """Objective of ``candidate``; ``None`` once it cannot beat tau."""
+def _evaluate(engine, clients, de, candidate, objective, kth, stats):
+    """Objective of ``candidate``; ``None`` once it loses to ``kth``.
+
+    ``kth`` is the ``(key, candidate)`` order of the k-th best entry.
+    Each objective keeps a lower bound on the candidate's final key,
+    and the evaluation stops once ``(bound, candidate)`` exceeds
+    ``kth``: the candidate can then neither beat nor tie-win it.
+    """
+
+    def loses(bound: float) -> bool:
+        return (bound, candidate) > kth
+
     if objective == MINMAX:
         running = 0.0
         for i, client in enumerate(clients):
@@ -154,7 +162,7 @@ def _evaluate(
             term = min(de[i], engine.idist(client, candidate))
             if term > running:
                 running = term
-                if running >= tau and tau < INFINITY:
+                if loses(running):
                     return None
         return running
     if objective == MINDIST:
@@ -162,18 +170,17 @@ def _evaluate(
         for i, client in enumerate(clients):
             stats.client_terms_computed += 1
             running += min(de[i], engine.idist(client, candidate))
-            if running >= tau and tau < INFINITY:
+            if loses(running):
                 return None
         return running
     # MAXSUM: abort when even winning all remaining clients loses.
     wins = 0
     remaining = len(clients)
-    threshold = None if tau == INFINITY else -tau
     for i, client in enumerate(clients):
         stats.client_terms_computed += 1
         remaining -= 1
         if engine.idist(client, candidate) < de[i]:
             wins += 1
-        if threshold is not None and wins + remaining < threshold:
+        if loses(-float(wins + remaining)):
             return None
     return float(wins)

@@ -33,10 +33,10 @@ baseline-vs-efficient comparisons in ``bench/`` are apples-to-apples):
 With ``use_kernels`` enabled (the default when numpy is importable,
 see :mod:`repro.index.kernels`) the engine resolves the *inner door
 loops* of ``imind_partitions`` / ``imind_node`` through dense-array
-reductions and exposes batch entry points (:meth:`idist_many`,
-:meth:`door_to_door_many`, :meth:`imind_node_many`) that answer whole
-client groups per call, plus :meth:`imind_leaf`, which bounds every
-facility of a VIP-tree leaf from one cached pack row.  Values are
+reductions, answers whole client groups per call
+(:meth:`group_arrays` with :meth:`idist_rows` / :meth:`idist_values`),
+and bounds every facility of a VIP-tree leaf from one cached pack row
+(:meth:`imind_leaf`).  Values are
 bit-identical to the scalar path; counters stay ledger-consistent,
 with bulk increments: a kernelised ``imind_partitions`` miss counts
 its full door-pair block as ``d2d_lookups`` (no per-pair memo
@@ -676,54 +676,6 @@ class VIPDistanceEngine:
             for client in kept
         ]
 
-    def idist_many(
-        self, clients: Sequence[Client], target: PartitionId
-    ):
-        """Vector of ``iDist(c, target)`` for co-located clients."""
-        np = _kernels._np
-        self._require_pack()
-        if not clients:
-            self.stats.kernel_batches += 1
-            return np.empty(0, dtype=np.float64)
-        partition_id = clients[0].partition_id
-        for client in clients:
-            if client.partition_id != partition_id:
-                raise QueryError(
-                    "idist_many requires clients of one partition; got "
-                    f"{partition_id} and {client.partition_id}"
-                )
-        arrays = self.group_arrays(clients, partition_id)
-        return self.idist_rows(arrays, np.arange(len(clients)), target)
-
-    def door_to_door_many(
-        self, doors_a: Sequence[int], doors_b: Sequence[int]
-    ):
-        """Dense ``(len(a), len(b))`` block of door-pair distances.
-
-        Counts every pair as a lookup (bulk increment) and one kernel
-        batch; the per-pair memo is bypassed — callers hold the block.
-        """
-        pack = self._require_pack()
-        self.stats.d2d_lookups += len(doors_a) * len(doors_b)
-        self.stats.kernel_batches += 1
-        return pack.d2d_block(doors_a, doors_b)
-
-    def imind_node_many(
-        self, partition_id: PartitionId, nodes: Sequence[VIPNode]
-    ):
-        """Vector of :meth:`imind_node` bounds for many nodes.
-
-        Each node goes through the normal covers/memo/store sequence,
-        so counters are identical to per-node calls; only the inner
-        door loop is the dense-array reduction.
-        """
-        np = _kernels._np
-        self._require_pack()
-        out = np.empty(len(nodes), dtype=np.float64)
-        for index, node in enumerate(nodes):
-            out[index] = self.imind_node(partition_id, node)
-        return out
-
     def point_min_dist_to_node(self, client: Client, node: VIPNode) -> float:
         """Lower bound from an exact client location to a node.
 
@@ -754,49 +706,4 @@ class VIPDistanceEngine:
                 d = row.get(door_id)
                 if d is not None and offset + d < best:
                     best = offset + d
-        return best
-
-    def point_to_point(
-        self,
-        a_client: Client,
-        b_client: Client,
-    ) -> float:
-        """Shortest indoor distance between two located clients.
-
-        Not used on the IFLS hot path (facilities are partitions) but
-        part of the public VIP-tree API the paper builds on.
-        """
-        if a_client.partition_id == b_client.partition_id:
-            partition = self.venue.partition(a_client.partition_id)
-            return partition.intra_distance(
-                a_client.location, b_client.location
-            )
-        partition_b = self.venue.partition(b_client.partition_id)
-        best = INFINITY
-        for door_id in self._doors(b_client.partition_id):
-            tail = partition_b.intra_distance(
-                b_client.location, self._door_locations[door_id]
-            )
-            if tail >= best:
-                continue
-            head = self._point_to_door(a_client, door_id)
-            if head + tail < best:
-                best = head + tail
-        return best
-
-    def _point_to_door(self, client: Client, door_id: int) -> float:
-        partition = self.venue.partition(client.partition_id)
-        best = INFINITY
-        door = self.venue.door(door_id)
-        if client.partition_id in door.partitions():
-            best = partition.intra_distance(client.location, door.location)
-        for exit_id in self._doors(client.partition_id):
-            offset = partition.intra_distance(
-                client.location, self._door_locations[exit_id]
-            )
-            if offset >= best:
-                continue
-            via = offset + self.door_to_door(exit_id, door_id)
-            if via < best:
-                best = via
         return best

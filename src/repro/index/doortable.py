@@ -4,7 +4,8 @@ The oldest indoor distance index the paper cites (§2.3): run graph
 traversal on the doors graph and *store all pairwise door distances in
 a hash table*.  Queries are O(1); the price is O(doors^2) memory and an
 all-pairs construction.  The VIP-tree exists precisely to avoid this
-blow-up — `benchmarks/bench_backends.py` reproduces the trade-off.
+blow-up — ``ifls backends`` and the ``matrix`` perf-gate suite
+reproduce the trade-off.
 
 The class implements the same ``door_to_door`` / ``matrix_entry_count``
 surface as :class:`~repro.index.viptree.VIPTree`, so the two can be

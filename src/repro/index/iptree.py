@@ -15,8 +15,8 @@ common ancestor —
     Di+1[b] = min over a in AD(child): Di[a] + M_parent[a, b]
 
 — which trades fewer stored matrix entries for more work per query.
-``benchmarks/bench_backends.py`` reproduces that trade-off, justifying
-the paper's use of the VIP variant.
+``ifls backends`` and the ``matrix`` perf-gate suite reproduce that
+trade-off, justifying the paper's use of the VIP variant.
 
 The index is extracted from a built :class:`VIPTree` (same hierarchy,
 same exact distances); only the hierarchical matrices are retained, so

@@ -273,26 +273,6 @@ class KernelPack:
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
-    def d2d_block(
-        self,
-        doors_a: Sequence[DoorId],
-        doors_b: Sequence[DoorId],
-        cols_b: "_np.ndarray" = None,
-    ) -> "_np.ndarray":
-        """``(len(a), len(b))`` matrix of exact door-pair distances.
-
-        Each entry reproduces ``VIPTree.door_to_door`` bit for bit:
-        direct access-door row when either end is an access door,
-        otherwise the same-leaf local matrix combined with the
-        boundary decomposition over the first leaf's access doors.
-        ``cols_b`` may pass the precomputed column indices of
-        ``doors_b`` (e.g. a cached :meth:`partition_cols` array).
-        """
-        if cols_b is None:
-            cols_b = self.door_cols(doors_b)
-        rows_a = self.source_rows(doors_a)
-        return self.F[rows_a[:, None], cols_b]
-
     def source_rows(self, doors: Sequence[DoorId]) -> "_np.ndarray":
         """``F`` row indices for source doors (raises when unindexed).
 
@@ -327,7 +307,8 @@ class KernelPack:
     ) -> float:
         """Min door-pair distance between partitions ``a != b``.
 
-        Exactly ``d2d_block(doors(lo), doors(hi)).min()`` for the
+        Exactly ``F[source_rows(doors(lo))[:, None],
+        door_cols(doors(hi))].min()`` for the
         ordered pair ``lo < hi`` — the kernelized ``iMinD``
         partition-pair reduction, the same value whichever way round it
         is asked — read from ``a``'s :meth:`leaf_row` against ``b``'s

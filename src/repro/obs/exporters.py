@@ -11,9 +11,8 @@ Three output shapes, all documented in ``docs/OBSERVABILITY.md``:
   a query spent its time.
 * **metrics CSV** — :func:`write_metrics_csv` flattens a
   :meth:`repro.obs.metrics.MetricsRegistry.snapshot` into one row per
-  instrument (the same CSV conventions as the bench harness;
-  re-exported by :mod:`repro.bench.reporting`), round-tripped by
-  :func:`read_metrics_csv`.
+  instrument (the same CSV conventions as the bench harness),
+  round-tripped by :func:`read_metrics_csv`.
 """
 
 from __future__ import annotations

@@ -9,9 +9,8 @@ from persistent warm sessions:
   distance ledgers merged on checkin and cache-budget eviction under
   memory pressure;
 * :mod:`repro.service.batcher` — a request-coalescing queue that
-  micro-batches concurrent ``POST /batch`` traffic into
-  ``QuerySession.run(..., workers=N)`` behind a configurable flush
-  window;
+  micro-batches concurrent ``POST /batch`` traffic into one serial
+  ``QuerySession.run`` per flush, behind a configurable flush window;
 * :mod:`repro.service.protocol` — the HTTP/JSON wire layer over the
   shared :class:`~repro.core.request.QueryRequest` /
   :class:`~repro.core.request.QueryResponse` pair, including the

@@ -2,9 +2,9 @@
 
 Concurrent ``POST /batch`` clients each carry a handful of queries; the
 efficient way to answer them is *together*, through one warm
-``QuerySession.run(batch, workers=N)`` call, so cache warmth and the
-parallel executor amortise across requests that arrived within the same
-few milliseconds.  :class:`Coalescer` implements that:
+``QuerySession.run(batch)`` call, so cache warmth amortises across
+requests that arrived within the same few milliseconds.
+:class:`Coalescer` implements that:
 
 * :meth:`submit` parks each request with an ``asyncio`` future on a
   pending list;

@@ -5,7 +5,8 @@ One :class:`IFLSService` owns a venue opened through
 of warm sessions over the engine's shared
 :class:`~repro.index.snapshot.IndexSnapshot`, and a
 :class:`~repro.service.batcher.Coalescer` that micro-batches
-concurrent traffic into ``QuerySession.run(..., workers=N)`` calls.
+concurrent traffic into serial ``QuerySession.run`` calls on one
+pooled session per flush.
 
 Endpoints
 ---------
@@ -114,7 +115,6 @@ class ServiceConfig:
     cache_bytes_budget: Optional[int] = None
     flush_window: float = 0.01
     max_batch: int = 64
-    workers: int = 1
     request_timeout: Optional[float] = 30.0
     explain_capacity: int = 128
     stream_capacity: int = 32
@@ -631,10 +631,7 @@ class IFLSService:
         )
         with self.pool.session(request_ids=request_ids) as session:
             if plain:
-                results = session.run(
-                    [requests[i] for i in plain],
-                    workers=self.config.workers,
-                )
+                results = session.run([requests[i] for i in plain])
                 for j, i in enumerate(plain):
                     responses[i] = QueryResponse.from_result(
                         results[j], requests[i], index=i

@@ -25,7 +25,7 @@ from repro.bench.reporting import (
 from repro.bench.tables import format_table1, format_table2, table1_rows
 from repro.datasets import CPH
 
-TINY = Scale("tiny", 500, 1)
+TINY = Scale("tiny", 500)
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +67,9 @@ class TestExperiments:
         assert {r.algorithm for r in rows} == {"efficient", "baseline"}
         assert all(r.experiment == "fig5" for r in rows)
         assert all(r.time_seconds > 0 for r in rows)
+        # The paper's count labels the row; the count that ran is kept.
+        assert all(r.value == 1000 for r in rows)
+        assert all(r.clients == TINY.clients(1000) for r in rows)
         # Both algorithms agree on the optimum.
         objectives = {round(r.objective or 0, 6) for r in rows}
         assert len(objectives) == 1
@@ -162,26 +165,6 @@ class TestTables:
         assert "101, 54, 39, 19, 14" in text
 
 
-class TestCounters:
-    def test_counters_rows(self, cache):
-        from repro.bench.counters import format_counters, measure_counters
-
-        rows = measure_counters(scale=TINY, cache=cache, venues=(CPH,))
-        assert {r.algorithm for r in rows} == {"efficient", "baseline"}
-        efficient = next(r for r in rows if r.algorithm == "efficient")
-        baseline = next(r for r in rows if r.algorithm == "baseline")
-        # The baseline never prunes clients and never hits a memo; the
-        # efficient approach reuses cached distances.
-        assert baseline.clients_pruned == 0
-        assert baseline.cache_hits == 0
-        assert efficient.clients_pruned > 0
-        assert efficient.queue_pops > 0
-        assert efficient.cache_hits > 0
-        text = format_counters(rows)
-        assert "CPH" in text and "efficient" in text
-        assert "cache_hits" in text
-
-
 class TestStreamReplay:
     def test_modes_agree_and_rows_shape(self, cache):
         from repro.bench.experiments import stream_replay
@@ -193,7 +176,7 @@ class TestStreamReplay:
         modes = {row.algorithm for row in rows}
         assert modes == {"incremental", "oracle"}
         for row in rows:
-            assert row.experiment == "stream"
+            assert row.experiment == "replay"
             assert row.parameter == "events"
             assert row.value == 30
             assert row.time_seconds > 0

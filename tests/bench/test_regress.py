@@ -53,6 +53,38 @@ class TestRecording:
         loaded = load_baseline(path)
         assert loaded.to_dict() == baseline.to_dict()
 
+    def test_record_refuses_exact_metric_differing_between_runs(
+        self, monkeypatch, tmp_path
+    ):
+        """A suite that does not repeat cannot be gated at zero
+        tolerance; a median would hide it, so recording refuses."""
+        values = iter([42.0, 43.0, 42.0])
+
+        def build():
+            return {
+                "flaky.counter": (next(values), regress.EXACT),
+                "flaky.seconds": (0.5, regress.WALL),
+            }
+
+        monkeypatch.setitem(regress.SUITES, "flaky", build)
+        path = tmp_path / "BENCH_flaky.json"
+        with pytest.raises(ValueError, match="flaky.counter"):
+            record_baseline("flaky", runs=3, path=path)
+        assert not path.exists()
+
+    def test_wall_metrics_may_vary_between_runs(self, monkeypatch):
+        seconds = iter([0.4, 0.9, 0.5])
+
+        def build():
+            return {
+                "steady.counter": (1.0, regress.EXACT),
+                "steady.seconds": (next(seconds), regress.WALL),
+            }
+
+        monkeypatch.setitem(regress.SUITES, "steady", build)
+        baseline = record_baseline("steady", runs=3)
+        assert baseline.metrics["steady.seconds"] == (0.5, regress.WALL)
+
     def test_unknown_suite_raises(self):
         with pytest.raises(ValueError, match="unknown suite"):
             regress.run_suite("no-such-suite")
@@ -181,7 +213,7 @@ class TestCommittedBaseline:
         path = REPO / "BENCH_small.json"
         assert path.is_file(), (
             "BENCH_small.json missing; record it with PYTHONPATH=src "
-            "python benchmarks/record_baseline.py --suite small"
+            "python -m repro perfgate --suite small --record"
         )
         baseline = load_baseline(path)
         assert baseline.suite == "small"
@@ -216,3 +248,49 @@ class TestCommittedBaseline:
             if entry.kind == regress.EXACT
         ]
         assert exact_drift == [], report.describe()
+
+
+class TestExperimentSuites:
+    """Every recorded experiment is a suite whose rows are metrics."""
+
+    def test_every_experiment_is_a_suite(self):
+        from repro.bench.experiments import EXPERIMENTS
+
+        assert set(EXPERIMENTS) <= set(regress.SUITES)
+        assert "replay" in EXPERIMENTS and "stream" not in EXPERIMENTS
+
+    def test_rows_round_trip_through_metrics(self):
+        from repro.bench.experiments import Row
+
+        rows = [
+            Row("fig6", "MC", "fashion & accessories", "sigma", 0.125,
+                "efficient", 0.25, 1.5, 18.25, 500),
+            Row("fig78", "CPH", "synthetic", "|C|", 20000.0,
+                "no-client-pruning", 0.5, 2.0, 7.0, 1000),
+            Row("parallel", "MC", "batch", "workers", 2.0, "parallel",
+                1.25, 0.0, None, 250),
+        ]
+        metrics = regress.row_metrics(rows)
+        kinds = {
+            name.rpartition(".")[2]: kind
+            for name, (_, kind) in metrics.items()
+        }
+        assert kinds == {
+            "clients": regress.EXACT,
+            "objective": regress.EXACT,
+            "seconds": regress.WALL,
+            "peak_mb": regress.WALL,
+        }
+        assert regress.metric_rows(metrics) == rows
+
+    def test_committed_recordings_are_fingerprinted(self):
+        paths = sorted((REPO / "benchmarks/recorded").glob("*.json"))
+        assert paths
+        for path in paths:
+            baseline = load_baseline(path)
+            assert baseline.suite == path.stem
+            assert baseline.suite in regress.SUITES
+            assert baseline.fingerprint.get("cpu_count")
+            assert baseline.git_sha
+            assert baseline.runs >= 3
+            assert regress.metric_rows(baseline.metrics)

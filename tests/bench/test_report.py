@@ -1,8 +1,9 @@
 """The programmatic EXPERIMENTS.md generator.
 
 The report is a build artifact: :class:`repro.bench.report.DataProvider`
-reads recorded experiment JSON plus perf-gate baselines, the
-``section_*`` generators render Markdown from nothing else, and
+reads the recorded suite baselines (experiments and perf-gate suites,
+one schema), the ``section_*`` generators render Markdown from nothing
+else, and
 ``compose`` is deterministic byte for byte.  These tests drive the
 pipeline over small synthetic fixtures (golden substrings per section,
 byte-identity across runs, drift detection when a recorded value is
@@ -19,7 +20,6 @@ import pytest
 from repro.bench import regress, report
 from repro.bench.experiments import Row
 from repro.bench.report import DataProvider
-from repro.bench.reporting import write_json
 from repro.cli import main
 
 REPO = Path(__file__).resolve().parents[2]
@@ -35,6 +35,7 @@ def _row(
     value=1000.0,
     memory_mb=1.0,
     objective=None,
+    clients=50,
 ):
     return Row(
         experiment=experiment,
@@ -46,7 +47,20 @@ def _row(
         time_seconds=time_seconds,
         memory_mb=memory_mb,
         objective=objective,
+        clients=clients,
     )
+
+
+def _record(path, rows, cpu_count=2):
+    """Save rows the way ``ifls perfgate --record`` stores a suite."""
+    regress.Baseline(
+        suite=path.stem,
+        runs=3,
+        created="2026-01-01T00:00:00",
+        git_sha="fedcba9876543210",
+        fingerprint={"cpu_count": cpu_count, "kernels": True},
+        metrics=regress.row_metrics(rows),
+    ).save(path)
 
 
 @pytest.fixture
@@ -55,25 +69,29 @@ def recorded(tmp_path):
     results = tmp_path / "recorded"
     rows = []
     for value, base, fast in ((1000.0, 0.8, 0.2), (2000.0, 2.0, 0.4)):
-        rows.append(_row("fig78", "efficient", fast, value=value))
-        rows.append(_row("fig78", "baseline", base, value=value))
-    write_json(rows, results / "fig78.json", experiment="fig78",
-               scale="small")
-    write_json(
+        clients = int(value) // 20
+        rows.append(
+            _row("fig78", "efficient", fast, value=value, clients=clients)
+        )
+        rows.append(
+            _row("fig78", "baseline", base, value=value, clients=clients)
+        )
+    _record(results / "fig78.json", rows)
+    _record(
+        results / "fig5.json",
         [
             _row("fig5", "efficient", 0.1, setting="FoodCourt"),
             _row("fig5", "baseline", 0.5, setting="FoodCourt"),
         ],
-        results / "fig5.json", experiment="fig5", scale="small",
     )
-    write_json(
+    _record(
+        results / "parallel.json",
         [
-            _row("parallel", "parallel", 1.0, parameter="workers",
-                 value=1.0),
-            _row("parallel", "parallel", 0.5, parameter="workers",
-                 value=2.0),
+            _row("parallel", "parallel", time_seconds, setting="batch",
+                 parameter="workers", value=workers, memory_mb=0.0)
+            for workers, time_seconds in ((1.0, 1.0), (2.0, 0.5),
+                                          (4.0, 0.4))
         ],
-        results / "parallel.json", experiment="parallel", scale="small",
     )
     baseline = regress.Baseline(
         suite="matrix",
@@ -113,7 +131,7 @@ def recorded(tmp_path):
 class TestDataProvider:
     def test_inventory(self, recorded):
         assert recorded.experiments() == ["fig5", "fig78", "parallel"]
-        assert recorded.scale("fig78") == "small"
+        assert recorded.experiment("fig78").runs == 3
         assert len(recorded.rows("fig78")) == 4
         assert recorded.suites() == ["matrix"]
         assert recorded.baseline("matrix").runs == 3
@@ -123,6 +141,7 @@ class TestDataProvider:
             results_dir=tmp_path / "none", baseline_dir=tmp_path
         )
         assert provider.experiments() == []
+        assert provider.experiment("fig78") is None
         assert provider.rows("fig78") == []
         assert provider.baseline("matrix") is None
         assert provider.metrics("matrix") == {}
@@ -136,6 +155,7 @@ class TestSections:
         assert "`benchmarks/recorded/fig78.json`" in text
         assert "`BENCH_matrix.json`" in text
         assert "0123456789" in text  # abbreviated git sha
+        assert "fedcba9876" in text  # experiment recordings carry one
 
     def test_parameters_from_harness_constants(self, recorded):
         from repro.bench.experiments import CLIENT_SIZES
@@ -149,7 +169,8 @@ class TestSections:
         # 0.8/0.2 = 4x and 2.0/0.4 = 5x -> mean 4.50x, max 5.00x
         assert "4.50×" in text
         assert "5.00×" in text
-        assert "2k" in text  # largest |C| axis label
+        # The largest |C| label names the clients that ran.
+        assert "5.00× @ |C|=2k (ran 100)" in text
 
     def test_fig5_table(self, recorded):
         text = report.section_fig5(recorded)
@@ -161,11 +182,31 @@ class TestSections:
         assert "varying |C|" in text
         assert "MC efficient" in text
         assert "0.2 s" in text
+        assert "| 1k (ran 50) | 2k (ran 100) |" in text
 
     def test_parallel_scaling(self, recorded):
         text = report.section_parallel(recorded)
         assert "| 1 | 1 s | 1.00× |" in text
         assert "| 2 | 0.5 s | 2.00× |" in text
+        assert "Recorded on 2 CPUs" in text
+
+    def test_parallel_speedup_needs_the_cpus(self, recorded):
+        """No speedup is printed for more workers than the recording
+        machine had CPUs; one CPU shows only the serial row's."""
+        text = report.section_parallel(recorded)
+        assert "| 4 | 0.4 s | — |" in text
+        _record(
+            recorded.results_dir / "parallel.json",
+            recorded.rows("parallel"),
+            cpu_count=1,
+        )
+        fresh = DataProvider(
+            results_dir=recorded.results_dir,
+            baseline_dir=recorded.baseline_dir,
+        )
+        text = report.section_parallel(fresh)
+        assert "| 1 | 1 s | 1.00× |" in text
+        assert "| 2 | 0.5 s | — |" in text
 
     def test_matrix_tables(self, recorded):
         text = report.section_matrix(recorded)
@@ -233,7 +274,8 @@ class TestCompose:
         # longer matches what the data says.
         path = recorded.results_dir / "fig78.json"
         document = json.loads(path.read_text())
-        document["rows"][0]["time_seconds"] *= 10.0
+        name = next(n for n in document["metrics"] if n.endswith(".seconds"))
+        document["metrics"][name]["value"] *= 10.0
         path.write_text(json.dumps(document))
         fresh = DataProvider(
             results_dir=recorded.results_dir,

@@ -1,47 +1,40 @@
-"""The harness never runs a timed call under ``tracemalloc``.
+"""The harness never times a call under ``tracemalloc``.
 
 Tracing hooks every allocation and slows algorithms by different
-factors, so each repetition is timed untraced and its peak memory comes
-from a separate traced run.  The probes log every harness timer read
-and every solve with ``tracemalloc.is_tracing()``: a solve between the
-two reads of one repetition is the timed one.
+factors, so a row's seconds are the solver's own timing of an untraced
+solve and its peak memory comes from a separate traced run.  The probe
+logs every solve with ``tracemalloc.is_tracing()`` and keeps the
+untraced results: a row's seconds must be exactly theirs.
 """
 
-import time
 import tracemalloc
 
 from repro import IFLSEngine
-from repro.bench import experiments, measure
+from repro.bench import experiments
 from repro.bench.experiments import ABLATION_VARIANTS, Scale, ablations
 from repro.datasets import CPH, small_office
 from tests.conftest import facility_split, make_clients
 
-#: One repetition: the timed solve between two timer reads, then the
-#: traced memory pass.
-REPETITION = ["tick", "untraced", "tick", "traced"]
+#: One row: the timed solve, then the traced memory pass.
+ROW = ["untraced", "traced"]
 
 
-def _probe_clock(monkeypatch, module, events):
-    class Clock:
-        @staticmethod
-        def perf_counter():
-            events.append("tick")
-            return time.perf_counter()
+def _probe(monkeypatch, engine, events, timed):
+    query = engine.query
 
-    monkeypatch.setattr(module, "time", Clock)
-
-
-def _probe(fn, events):
     def solve(*args, **kwargs):
-        events.append(
-            "traced" if tracemalloc.is_tracing() else "untraced"
-        )
-        return fn(*args, **kwargs)
+        result = query(*args, **kwargs)
+        if tracemalloc.is_tracing():
+            events.append("traced")
+        else:
+            events.append("untraced")
+            timed.append(result.stats.elapsed_seconds)
+        return result
 
-    return solve
+    monkeypatch.setattr(engine, "query", solve)
 
 
-def test_measure_query_times_untraced(monkeypatch):
+def test_query_rows_time_untraced(monkeypatch):
     venue = small_office(levels=2, rooms=24)
     engine = IFLSEngine(venue)
     rooms = sorted(
@@ -50,25 +43,26 @@ def test_measure_query_times_untraced(monkeypatch):
     )
     clients = make_clients(venue, 20, seed=61)
     fs = facility_split(rooms, existing=3, candidates=5, seed=61)
-    events = []
-    _probe_clock(monkeypatch, measure, events)
-    monkeypatch.setattr(engine, "query", _probe(engine.query, events))
-    m = measure.measure_query(engine, clients, fs, "efficient", repeats=2)
-    assert events == REPETITION * 2
-    assert all(peak > 0 for peak in m.peak_memory_bytes)
+    events, timed = [], []
+    _probe(monkeypatch, engine, events, timed)
+    row = experiments.query_row(
+        engine, clients, fs, "efficient",
+        experiment="x", venue="office", setting="s",
+        parameter="|C|", value=20,
+    )
+    assert events == ROW
+    assert row.time_seconds == timed[0]
+    assert row.memory_mb > 0
+    assert row.clients == 20
 
 
 def test_ablations_time_untraced(monkeypatch):
     cache = experiments.EngineCache()
-    cache.engine(CPH)  # index build outside the probes
-    events = []
-    _probe_clock(monkeypatch, experiments, events)
-    monkeypatch.setattr(
-        experiments,
-        "efficient_minmax",
-        _probe(experiments.efficient_minmax, events),
-    )
-    rows = ablations(scale=Scale("tiny", 500, 1), cache=cache,
+    engine = cache.engine(CPH)  # index build outside the probe
+    events, timed = [], []
+    _probe(monkeypatch, engine, events, timed)
+    rows = ablations(scale=Scale("tiny", 500), cache=cache,
                      venue_name=CPH)
-    assert events == REPETITION * len(ABLATION_VARIANTS)
+    assert events == ROW * len(ABLATION_VARIANTS)
+    assert [row.time_seconds for row in rows] == timed
     assert all(row.memory_mb > 0 for row in rows)

@@ -5,8 +5,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import IFLSEngine, QueryError
+from repro.bench.experiments import default_fe, default_fn
+from repro.core.queries import OBJECTIVES
 from repro.core.topk import top_k_ifls
-from repro.datasets import small_office
+from repro.datasets import small_office, venue_by_name
+from repro.datasets.workloads import workload
 from tests.conftest import facility_split, make_clients
 from tests.core.test_equivalence_property import scenarios
 
@@ -106,6 +109,63 @@ class TestRanking:
         # Branch-and-bound must save work once tau is tight.
         full_work = len(fs.candidates) * len(clients)
         assert stats.client_terms_computed <= full_work
+
+
+_TIE_ENGINES = {}
+
+
+@pytest.fixture(scope="module")
+def tie_rankings():
+    """Per-candidate brute force on Table 2's defaults, cached per
+    (venue, seed): every objective ranked by ``(objective, id)``
+    (MaxSum by ``(-wins, id)``), from one ``iDist`` pass."""
+    cache = {}
+
+    def rankings(venue_name, seed):
+        if (venue_name, seed) not in cache:
+            engine = _TIE_ENGINES.setdefault(
+                venue_name, IFLSEngine(venue_by_name(venue_name))
+            )
+            clients, fs = workload(
+                engine.venue, 200, default_fe(venue_name),
+                default_fn(venue_name), seed=seed,
+            )
+            idist = engine.distances.idist
+            de = [
+                min((idist(c, e) for e in fs.existing),
+                    default=float("inf"))
+                for c in clients
+            ]
+            keys = {objective: [] for objective in OBJECTIVES}
+            for candidate in fs.candidates:
+                d = [idist(c, candidate) for c in clients]
+                terms = [min(a, b) for a, b in zip(de, d)]
+                wins = sum(1 for a, b in zip(de, d) if b < a)
+                keys["minmax"].append((max(terms), candidate))
+                keys["mindist"].append((sum(terms), candidate))
+                keys["maxsum"].append((-float(wins), candidate))
+            cache[venue_name, seed] = engine, clients, fs, {
+                objective: [c for _, c in sorted(pairs)]
+                for objective, pairs in keys.items()
+            }
+        return cache[venue_name, seed]
+
+    return rankings
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("venue_name", ["CPH", "MC"])
+def test_ties_rank_by_partition_id(
+    tie_rankings, venue_name, seed, objective
+):
+    """Tied candidates come in id order, however the evaluation order
+    met them (e.g. MC seed 3 MinMax: 144, 145, 147 tie at 36.9336)."""
+    engine, clients, fs, want = tie_rankings(venue_name, seed)
+    ranked, _ = top_k_ifls(
+        engine.problem(clients, fs), 3, objective=objective
+    )
+    assert [entry.candidate for entry in ranked] == want[objective][:3]
 
 
 @settings(

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from repro import Client, DistanceService, Point, VIPTree
+from repro import DistanceService, VIPTree
 from repro.index.distance import VIPDistanceEngine
 from repro.datasets import small_office
 from tests.conftest import make_clients
@@ -125,36 +125,6 @@ class TestPointBounds:
                 assert (
                     engine.point_min_dist_to_node(client, node)
                     >= engine.imind_node(client.partition_id, node) - 1e-9
-                )
-
-
-class TestPointToPoint:
-    def test_same_partition_euclidean(self, setup):
-        venue, engine, _ = setup
-        pid = make_clients(venue, 1, seed=12)[0].partition_id
-        rect = venue.partition(pid).rect
-        a = Client(0, Point(rect.min_x, rect.min_y, rect.level), pid)
-        b = Client(1, Point(rect.min_x + 3, rect.min_y, rect.level), pid)
-        assert engine.point_to_point(a, b) == pytest.approx(3.0)
-
-    def test_matches_exact_service(self, setup):
-        venue, engine, exact = setup
-        clients = make_clients(venue, 8, seed=13)
-        for a in clients[:4]:
-            for b in clients[4:]:
-                got = engine.point_to_point(a, b)
-                want = exact.point_to_point(
-                    a.location, a.partition_id, b.location, b.partition_id
-                )
-                assert got == pytest.approx(want)
-
-    def test_symmetry(self, setup):
-        venue, engine, _ = setup
-        clients = make_clients(venue, 6, seed=14)
-        for a in clients[:3]:
-            for b in clients[3:]:
-                assert engine.point_to_point(a, b) == pytest.approx(
-                    engine.point_to_point(b, a)
                 )
 
 

@@ -67,21 +67,25 @@ class TestPackLifecycle:
 
 
 class TestD2DBlock:
+    """``F`` is the exact door x door matrix, read through
+    ``source_rows`` and ``door_cols`` as every kernel reads it."""
+
     def test_matches_tree_over_all_pairs(self, setup):
         venue, tree = setup
         pack = tree.kernels()
         doors = sorted(venue.door_ids())
-        block = pack.d2d_block(doors, doors)
+        block = pack.F[
+            pack.source_rows(doors)[:, None], pack.door_cols(doors)
+        ]
         for i, a in enumerate(doors):
             for j, b in enumerate(doors):
                 assert block[i, j] == tree.door_to_door(a, b), (a, b)
 
     def test_unknown_door_raises(self, setup):
-        venue, tree = setup
+        _, tree = setup
         pack = tree.kernels()
-        doors = sorted(venue.door_ids())[:2]
         with pytest.raises(IndexError_, match="not indexed"):
-            pack.d2d_block([10**9], doors)
+            pack.source_rows([10**9])
 
     def test_imind_node_matches_scalar(self, setup):
         venue, tree = setup
@@ -98,78 +102,26 @@ class TestD2DBlock:
 
 
 class TestEngineBatches:
-    def test_idist_many_matches_scalar(self, setup):
+    def test_idist_rows_matches_scalar(self, setup):
         venue, tree = setup
         engine = VIPDistanceEngine(tree, use_kernels=True)
         scalar = VIPDistanceEngine(tree, use_kernels=False)
         targets = sorted(venue.partition_ids())[:8]
-        for _, group in sorted(_clients_by_partition(venue, 24, 31).items()):
+        for pid, group in sorted(_clients_by_partition(venue, 24, 31).items()):
+            arrays = engine.group_arrays(group, pid)
             for target in targets:
-                got = engine.idist_many(group, target)
+                got = engine.idist_rows(
+                    arrays, np.arange(len(group)), target
+                )
                 want = [scalar.idist(c, target) for c in group]
                 assert list(got) == want
-
-    def test_idist_many_counters_telescope(self, setup):
-        venue, tree = setup
-        engine = VIPDistanceEngine(tree, use_kernels=True)
-        groups = _clients_by_partition(venue, 24, 32)
-        targets = sorted(venue.partition_ids())[:6]
-        for _, group in sorted(groups.items()):
-            for target in targets:
-                engine.idist_many(group, target)
-        s = engine.stats
-        assert s.idist_calls == sum(
-            len(g) for g in groups.values()
-        ) * len(targets)
-        assert s.kernel_batches > 0
-        assert (
-            s.imind_cache_hits
-            + s.imind_node_cache_hits
-            + s.distance_computations
-            == s.imind_calls + s.imind_node_calls
-        )
-
-    def test_idist_many_empty_and_mixed(self, setup):
-        venue, tree = setup
-        engine = VIPDistanceEngine(tree, use_kernels=True)
-        target = sorted(venue.partition_ids())[0]
-        assert len(engine.idist_many([], target)) == 0
-        groups = _clients_by_partition(venue, 30, 33)
-        assert len(groups) > 1, "seeded clients span several partitions"
-        (_, first), (_, second) = sorted(groups.items())[:2]
-        with pytest.raises(QueryError, match="one partition"):
-            engine.idist_many([first[0], second[0]], target)
-
-    def test_door_to_door_many_matches_and_counts(self, setup):
-        venue, tree = setup
-        engine = VIPDistanceEngine(tree, use_kernels=True)
-        doors = sorted(venue.door_ids())[:6]
-        block = engine.door_to_door_many(doors[:3], doors[3:])
-        for i, a in enumerate(doors[:3]):
-            for j, b in enumerate(doors[3:]):
-                assert block[i, j] == tree.door_to_door(a, b)
-        assert engine.stats.d2d_lookups == 9
-        assert engine.stats.kernel_batches == 1
-
-    def test_imind_node_many_matches_per_node_calls(self, setup):
-        venue, tree = setup
-        batch = VIPDistanceEngine(tree, use_kernels=True)
-        single = VIPDistanceEngine(tree, use_kernels=True)
-        pid = sorted(venue.partition_ids())[0]
-        nodes = list(tree.nodes)
-        got = batch.imind_node_many(pid, nodes)
-        want = [single.imind_node(pid, node) for node in nodes]
-        assert list(got) == want
-        assert (
-            batch.stats.imind_node_calls == single.stats.imind_node_calls
-        )
 
     def test_batch_entry_points_require_kernels(self, setup):
         venue, tree = setup
         scalar = VIPDistanceEngine(tree, use_kernels=False)
-        doors = sorted(venue.door_ids())[:2]
+        pid, group = next(iter(_clients_by_partition(venue, 8, 34).items()))
         with pytest.raises(QueryError, match="use_kernels=True"):
-            scalar.door_to_door_many(doors, doors)
+            scalar.group_arrays(group, pid)
         assert scalar.kernel_pack is None
 
 

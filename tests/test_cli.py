@@ -20,6 +20,14 @@ class TestParser:
         args = build_parser().parse_args(["bench"])
         assert args.experiment == "all"
 
+    def test_serve_has_no_workers_option(self, capsys):
+        """A flush answers serially on its pooled session; forking a
+        process pool per flush lost to it on every measure."""
+        args = build_parser().parse_args(["serve", "CPH"])
+        assert not hasattr(args, "workers")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "CPH", "--workers", "2"])
+
     def test_query_batch_defaults(self):
         args = build_parser().parse_args(["query", "CPH"])
         assert args.batch == 1
@@ -69,6 +77,22 @@ class TestCommands:
             raise AssertionError(text)
 
         assert objective(fast) == pytest.approx(objective(slow))
+
+    def test_query_reports_the_solvers_time(self, capsys, monkeypatch):
+        """``time:`` is ``result.stats.elapsed_seconds``, the solver's
+        own figure, not a timer around engine setup and input checks."""
+        from repro.core.queries import IFLSEngine
+
+        solve = IFLSEngine.query
+
+        def query(self, *args, **kwargs):
+            result = solve(self, *args, **kwargs)
+            result.stats.elapsed_seconds = 12.5
+            return result
+
+        monkeypatch.setattr(IFLSEngine, "query", query)
+        assert main(["query", "CPH", "--clients", "20"]) == 0
+        assert "time:       12.500s" in capsys.readouterr().out
 
     def test_query_normal_distribution(self, capsys):
         assert main([

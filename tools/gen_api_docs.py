@@ -22,6 +22,62 @@ OUT = Path(__file__).resolve().parents[1] / "docs" / "API.md"
 # Hand-maintained prose sections are authored HERE (the output file
 # is generated; edits to docs/API.md are overwritten).
 MIGRATION = """\
+## Migrating to 4.0
+
+4.0 measures and stores every experiment one way.  Each sweep of
+`repro.bench.experiments` is a perf-gate suite (`fig5`, `fig6`,
+`fig78`, `ablation`, `extensions`, `parallel`, `replay`); `ifls
+perfgate --record --suite <name>` stores its rows as metrics in the
+`Baseline` schema of `BENCH_*.json`, with the machine fingerprint, the
+git revision, the run count and, per row, the client count that ran.
+`ifls report` reads every file with `load_baseline`, and `ifls bench`
+prints one suite run.  Each name 4.0 removed, with its replacement:
+
+| Removed in 4.0 | Replacement | Notes |
+|---|---|---|
+| `repro.bench.measure` (`measure_query`, `compare`, `Measurement`, \
+`timed`, `traced_peak`) | `repro.bench.experiments.query_row` and \
+`traced_peak_mb` | One cold query makes one `Row`: its seconds are \
+`result.stats.elapsed_seconds`, its peak MB a separate traced pass. |
+| `repro.bench.counters` and `ifls bench --experiment counters\\|session` \
+| `ifls explain`, `QuerySession.report()`, `tools/check_counters.py` | \
+EXPLAIN attributes every counter to a phase; the session report shows \
+what warm caches saved. |
+| `Scale.repeats` (`Scale(name, divisor, repeats)`) | \
+`Scale(name, divisor)`; `ifls perfgate --runs N` | A suite run measures \
+each row once; a record keeps the median of `--runs`. |
+| `repro.bench.reporting.write_json` / `read_json` | \
+`regress.row_metrics` + `Baseline.save` / `load_baseline` + \
+`regress.metric_rows` | Recording refuses a suite whose exact metrics \
+differ between runs. |
+| `ifls bench --experiment stream`; `run_experiment(name, scale=...)`, \
+`run_all(scale=...)` | `--experiment replay`; `REPRO_SCALE` or \
+`ifls bench --scale` | The stream replay suite is `replay`; `stream` is \
+the fixed perf-gate suite. |
+| `repro.bench.regress.zlib_seed` and the stream constants in \
+`regress` | `repro.bench.experiments.zlib_seed`, `STREAM_VENUE`, \
+`STREAM_FE`, `STREAM_FN`, `STREAM_INITIAL` | Same values. |
+| `tools/perf_gate.py`, `benchmarks/record_baseline.py` | \
+`ifls perfgate [--record]` | |
+| `benchmarks/bench_*.py` (pytest-benchmark), \
+`tools/paper_scale_sweep.py` | `ifls perfgate --record --suite fig5` \
+(and the other experiment suites), `ifls bench` | Set `REPRO_SCALE` for \
+larger client counts. |
+| `ServiceConfig.workers`, `ifls serve --workers` | none | A flush \
+answers serially on its pooled session. `QuerySession.run(workers=)` \
+and `run_batch_parallel` stay for library batches. |
+| `VIPDistanceEngine.idist_many(clients, target)` | \
+`engine.idist_rows(engine.group_arrays(clients, pid), rows, target)` | |
+| `VIPDistanceEngine.door_to_door_many(a, b)`, \
+`KernelPack.d2d_block(a, b)` | \
+`pack.F[pack.source_rows(a)[:, None], pack.door_cols(b)]` | Counts \
+nothing; `door_to_door` is the counted per-pair call. |
+| `VIPDistanceEngine.imind_node_many(p, nodes)` | \
+`[engine.imind_node(p, node) for node in nodes]` | |
+| `VIPDistanceEngine.point_to_point(a, b)` | \
+`DistanceService(venue).point_to_point(a.location, a.partition_id, \
+b.location, b.partition_id)` | |
+
 ## Migrating to 3.0
 
 3.0 measures every query once.  `measured_query` times each solver
@@ -90,7 +146,7 @@ to the executor | The executors run the batch check themselves \
 `FacilitySets(frozenset(existing), frozenset(candidates))` | |
 | `measure_memory=` on `IFLSEngine.query`, `EfficientOptions`, \
 `QueryRequest`, `modified_minmax` and `measured_query` | take peak memory in \
-a separate `tracemalloc` pass, as `repro.bench.measure.measure_query` does | \
+a separate `tracemalloc` pass, as the experiment suites do | \
 No solver path starts `tracemalloc` any more. |
 | `QueryStats.peak_memory_bytes` | `tracemalloc.get_traced_memory()` read \
 around the call | Nothing set it once the knob went; `QueryStats.merge` lost \
