@@ -111,21 +111,18 @@ class TestRanking:
         assert stats.client_terms_computed <= full_work
 
 
-_TIE_ENGINES = {}
-
-
 @pytest.fixture(scope="module")
 def tie_rankings():
     """Per-candidate brute force on Table 2's defaults, cached per
     (venue, seed): every objective ranked by ``(objective, id)``
     (MaxSum by ``(-wins, id)``), from one ``iDist`` pass."""
-    cache = {}
+    engines, cache = {}, {}
 
     def rankings(venue_name, seed):
         if (venue_name, seed) not in cache:
-            engine = _TIE_ENGINES.setdefault(
-                venue_name, IFLSEngine(venue_by_name(venue_name))
-            )
+            if venue_name not in engines:
+                engines[venue_name] = IFLSEngine(venue_by_name(venue_name))
+            engine = engines[venue_name]
             clients, fs = workload(
                 engine.venue, 200, default_fe(venue_name),
                 default_fn(venue_name), seed=seed,
