@@ -50,6 +50,12 @@ each row once; a record keeps the median of `--runs`. |
 `regress.row_metrics` + `Baseline.save` / `load_baseline` + \
 `regress.metric_rows` | Recording refuses a suite whose exact metrics \
 differ between runs. |
+| `repro.bench.reporting.format_cache_effectiveness` and its re-exports \
+of `write_metrics_csv` / `read_metrics_csv` / `METRICS_CSV_COLUMNS` | \
+`SessionReport.describe()`; `repro.obs.exporters` | |
+| `report.DataProvider.scale(name)`, `document(name)` | \
+`DataProvider.experiment(name)` | Returns the recording's `Baseline`: \
+runs, fingerprint, git sha and metrics; `rows(name)` decodes its rows. |
 | `ifls bench --experiment stream`; `run_experiment(name, scale=...)`, \
 `run_all(scale=...)` | `--experiment replay`; `REPRO_SCALE` or \
 `ifls bench --scale` | The stream replay suite is `replay`; `stream` is \
