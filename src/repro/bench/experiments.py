@@ -381,20 +381,23 @@ def ablations(
     cache: Optional[EngineCache] = None,
     venue_name: str = MC,
 ) -> List[Row]:
-    """Efficient-approach variants with individual optimisations off."""
+    """Efficient-approach variants with individual optimisations off.
+
+    Each variant runs on its own freshly built engine and VIP-tree, so
+    every timed solve starts on a kernel pack with empty derived caches
+    instead of reusing what the variants before it filled.
+    """
     scale = scale or current_scale()
     cache = cache or EngineCache()
-    engine = cache.engine(venue_name)
+    venue = cache.engine(venue_name).venue
     rng = random.Random(0xAB1A)
     facilities = random_facility_sets(
-        engine.venue, default_fe(venue_name), default_fn(venue_name), rng
+        venue, default_fe(venue_name), default_fn(venue_name), rng
     )
-    clients = uniform_clients(
-        engine.venue, scale.clients(DEFAULT_CLIENTS), rng
-    )
+    clients = uniform_clients(venue, scale.clients(DEFAULT_CLIENTS), rng)
     return [
         query_row(
-            engine, clients, facilities, "efficient",
+            IFLSEngine(venue), clients, facilities, "efficient",
             options=options, label=name,
             experiment="ablation", venue=venue_name, setting="synthetic",
             parameter=PARAM_C, value=DEFAULT_CLIENTS,

@@ -76,19 +76,24 @@ class _MaxSumState:
         self.newly_settled: List[int] = []
 
     def record(
-        self, client_id: int, facility: PartitionId, dist: float,
+        self,
+        facility: PartitionId,
         is_existing: bool,
+        client_ids: List[int],
+        dists: List[float],
     ) -> None:
-        if client_id in self.settled_de:
-            # Only possible with pruning ablated: judge immediately.
-            if not is_existing and dist < self.settled_de[client_id]:
-                self.wins[facility] = self.wins.get(facility, 0) + 1
-                self._credit_settled(facility)
-            return
         kind = self._EXISTING if is_existing else self._CANDIDATE
-        if not is_existing:
-            self.recorded.setdefault(client_id, {})[facility] = dist
-        heapq.heappush(self.events, (dist, kind, client_id, facility))
+        settled_de = self.settled_de
+        for client_id, dist in zip(client_ids, dists):
+            if client_id in settled_de:
+                # Only possible with pruning ablated: judge immediately.
+                if not is_existing and dist < settled_de[client_id]:
+                    self.wins[facility] = self.wins.get(facility, 0) + 1
+                    self._credit_settled(facility)
+                continue
+            if not is_existing:
+                self.recorded.setdefault(client_id, {})[facility] = dist
+            heapq.heappush(self.events, (dist, kind, client_id, facility))
 
     def advance(self, gd: float) -> None:
         while self.events and self.events[0][0] <= gd:

@@ -75,24 +75,32 @@ class _MinDistState:
 
     # -- event intake ----------------------------------------------------
     def record(
-        self, client_id: int, facility: PartitionId, dist: float,
+        self,
+        facility: PartitionId,
         is_existing: bool,
+        client_ids: List[int],
+        dists: List[float],
     ) -> None:
         if is_existing:
-            if client_id in self.unsettled:
-                heapq.heappush(self.settle_heap, (dist, client_id))
+            unsettled = self.unsettled
+            for client_id, dist in zip(client_ids, dists):
+                if client_id in unsettled:
+                    heapq.heappush(self.settle_heap, (dist, client_id))
             return
-        if client_id in self.settled_de:
-            # Cannot happen with pruning on (client removed from groups)
-            # but tolerated: fold directly into the adjustment.
-            de = self.settled_de[client_id]
-            if dist < de and facility in self.alive:
-                self.adj[facility] = (
-                    self.adj.get(facility, 0.0) + dist - de
-                )
-            return
-        self.recorded.setdefault(client_id, {})[facility] = dist
-        heapq.heappush(self.promote_heap, (dist, client_id, facility))
+        settled_de = self.settled_de
+        for client_id, dist in zip(client_ids, dists):
+            if client_id in settled_de:
+                # Cannot happen with pruning on (client removed from
+                # groups) but tolerated: fold directly into the
+                # adjustment.
+                de = settled_de[client_id]
+                if dist < de and facility in self.alive:
+                    self.adj[facility] = (
+                        self.adj.get(facility, 0.0) + dist - de
+                    )
+                continue
+            self.recorded.setdefault(client_id, {})[facility] = dist
+            heapq.heappush(self.promote_heap, (dist, client_id, facility))
 
     def advance(self, gd: float) -> None:
         """Settle clients and promote pairs now proven exact (<= Gd)."""

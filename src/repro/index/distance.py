@@ -187,9 +187,6 @@ class VIPDistanceEngine:
         self._door_locations = {
             d.door_id: d.location for d in self.venue.doors()
         }
-        # Single-exit-door lane: (intra_distance, door location) per
-        # partition, resolved once (structural, like _doors_of).
-        self._single_door: Dict[PartitionId, Tuple] = {}
 
     def reset_stats(self) -> DistanceStats:
         """Return current stats and start a fresh counter set."""
@@ -628,53 +625,64 @@ class VIPDistanceEngine:
         """True when the partition has exactly one exit door."""
         return len(self._doors(partition_id)) == 1
 
+    def single_door_offsets(
+        self, partition_id: PartitionId, clients: Sequence[Client]
+    ) -> List[float]:
+        """Each client's intra-partition offset to the one exit door.
+
+        The per-client half of the single-door shortcut, computed once
+        per client group so :meth:`idist_single_door` only adds.  The
+        same ``Partition.intra_distance`` call the scalar :meth:`idist`
+        makes per retrieval.
+        """
+        partition = self.venue.partition(partition_id)
+        door_location = self._door_locations[self._doors(partition_id)[0]]
+        return [
+            partition.intra_distance(client.location, door_location)
+            for client in clients
+        ]
+
     def idist_single_door(
         self,
         partition_id: PartitionId,
-        clients: Sequence[Client],
+        client_ids: Sequence[int],
+        offsets: Sequence[float],
         pruned: Set[int],
         target: PartitionId,
-    ):
+    ) -> Tuple[Sequence[int], List[float]]:
         """``iDist`` to ``target`` for a single-exit-door group.
 
         The no-arrays lane of the kernel path: a group behind one exit
-        door needs no offset matrix — one ``iMinD`` plus a per-client
-        intra-partition offset — so the solver skips
+        door needs no offset matrix — one ``iMinD`` plus each client's
+        offset from :meth:`single_door_offsets` (aligned with
+        ``client_ids``) — so the solver skips
         :class:`~repro.index.kernels.GroupArrays` for such groups
         entirely (on venues like MC, over 95% of partitions are
-        single-door rooms).  Returns ``(active_clients, values)`` in
-        client-list order (``active_clients`` may alias ``clients``
-        when nothing is pruned — treat it as read-only).  Counters
-        advance exactly as :meth:`idist_values`' single-door lane, and
-        the values are the same sums the scalar ``idist`` shortcut
-        produces.
+        single-door rooms).  Returns ``(active_ids, values)`` for the
+        ids not in ``pruned``, in list order (``active_ids`` may alias
+        ``client_ids`` when nothing is pruned — treat it as
+        read-only).  Counters advance exactly as :meth:`idist_values`'
+        single-door lane, and the values are the same sums the scalar
+        ``idist`` shortcut produces.
         """
-        kept = (
-            clients
-            if not pruned
-            else [c for c in clients if c.client_id not in pruned]
-        )
-        n = len(kept)
+        if pruned:
+            keep = [
+                index
+                for index, client_id in enumerate(client_ids)
+                if client_id not in pruned
+            ]
+            client_ids = [client_ids[index] for index in keep]
+            offsets = [offsets[index] for index in keep]
+        n = len(client_ids)
         self.stats.idist_calls += n
         if n == 0:
-            return kept, []
+            return client_ids, []
         if partition_id == target:
-            return kept, [0.0] * n
+            return client_ids, [0.0] * n
         self.stats.single_door_shortcuts += n
         base = self.imind_partitions(partition_id, target)
         self.stats.kernel_batches += 1
-        lane = self._single_door.get(partition_id)
-        if lane is None:
-            lane = (
-                self.venue.partition(partition_id).intra_distance,
-                self._door_locations[self._doors(partition_id)[0]],
-            )
-            self._single_door[partition_id] = lane
-        intra, door_location = lane
-        return kept, [
-            base + intra(client.location, door_location)
-            for client in kept
-        ]
+        return client_ids, [base + offset for offset in offsets]
 
     def point_min_dist_to_node(self, client: Client, node: VIPNode) -> float:
         """Lower bound from an exact client location to a node.

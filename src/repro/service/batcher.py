@@ -12,10 +12,11 @@ requests that arrived within the same few milliseconds.
   the window lets strangers coalesce, and a full batch
   (``max_batch``) flushes immediately;
 * one flush takes the whole pending list, answers it in a worker
-  thread on a pooled session, and resolves every future with its
-  :class:`~repro.core.request.QueryResponse` (or exception — one
-  query's failure never poisons its co-batched strangers' event loop,
-  though a shared solver error fails the whole flush).
+  thread on a pooled session, and resolves every future with its own
+  :class:`~repro.core.request.QueryResponse` or its own exception: a
+  query whose solve fails never fails its co-batched strangers.  Only
+  an error outside every solve (the runner itself raising) fails the
+  whole flush.
 
 ``drain()`` stops intake and flushes what is pending — the graceful-
 shutdown hook: in-flight batches complete, queued requests are
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 from ..core.request import QueryRequest, QueryResponse
 from ..errors import ServiceError
@@ -35,9 +36,12 @@ from ..obs import trace as _trace
 
 __all__ = ["Coalescer"]
 
-#: A runner answers an ordered request list and returns ordered
-#: responses (typically SessionPool-backed; runs in a thread).
-BatchRunner = Callable[[List[QueryRequest]], List[QueryResponse]]
+#: A runner answers an ordered request list and returns, in the same
+#: order, each request's response or the exception its solve raised
+#: (typically SessionPool-backed; runs in a thread).
+BatchRunner = Callable[
+    [List[QueryRequest]], List[Union[QueryResponse, Exception]]
+]
 
 
 class Coalescer:
@@ -166,7 +170,7 @@ class Coalescer:
             span_attrs["request_ids"] = list(request_ids)
         try:
             with _trace.span("service.batch.flush", **span_attrs):
-                responses = await loop.run_in_executor(
+                outcomes = await loop.run_in_executor(
                     self.executor, self.runner, requests
                 )
         except Exception as exc:
@@ -182,10 +186,14 @@ class Coalescer:
                 time.perf_counter() - started,
             )
         self.batches_flushed += 1
-        self.queries_answered += len(responses)
-        for (_request, future), response in zip(batch, responses):
+        for (_request, future), outcome in zip(batch, outcomes):
+            if isinstance(outcome, Exception):
+                if not future.done():
+                    future.set_exception(outcome)
+                continue
+            self.queries_answered += 1
             if not future.done():
-                future.set_result(response)
+                future.set_result(outcome)
 
     # ------------------------------------------------------------------
     # Shutdown

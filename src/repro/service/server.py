@@ -60,7 +60,7 @@ import urllib.parse
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..core.problem import check_query_inputs
 from ..core.request import QueryRequest, QueryResponse
@@ -609,38 +609,36 @@ class IFLSService:
 
     def _run_batch(
         self, requests: List[QueryRequest]
-    ) -> List[QueryResponse]:
+    ) -> List[Union[QueryResponse, Exception]]:
         """One coalesced flush: answer everything on a pooled session.
 
-        Runs in a worker thread (the coalescer's executor call).  The
-        borrowed session is exclusively ours until checkin, so its
-        ``DistanceStats`` ledger sees single-threaded increments only;
-        the pool folds the delta into its merged ledger afterwards.
+        Runs in a worker thread (the coalescer's executor call).  Each
+        request is answered in its own ``try``, so its outcome is its
+        response or the exception its solve raised, never a
+        stranger's.  The borrowed session is exclusively ours until
+        checkin, so its ``DistanceStats`` ledger sees single-threaded
+        increments only; the pool folds the delta into its merged
+        ledger afterwards.
         """
-        responses: List[Optional[QueryResponse]] = [None] * len(
-            requests
-        )
-        plain = [
-            i for i, r in enumerate(requests) if not r.explain
-        ]
-        explained = [
-            i for i, r in enumerate(requests) if r.explain
-        ]
+        outcomes: List[Union[QueryResponse, Exception]] = []
         request_ids = _trace.dedup_request_ids(
             request.request_id for request in requests
         )
         with self.pool.session(request_ids=request_ids) as session:
-            if plain:
-                results = session.run([requests[i] for i in plain])
-                for j, i in enumerate(plain):
-                    responses[i] = QueryResponse.from_result(
-                        results[j], requests[i], index=i
-                    )
-            for i in explained:
-                responses[i] = self._run_explained(
-                    session, requests[i], i
-                )
-        return [r for r in responses if r is not None]
+            for index, request in enumerate(requests):
+                try:
+                    if request.explain:
+                        outcome = self._run_explained(
+                            session, request, index
+                        )
+                    else:
+                        outcome = QueryResponse.from_result(
+                            session.run([request])[0], request, index=index
+                        )
+                except Exception as exc:  # noqa: BLE001 - per request
+                    outcome = exc
+                outcomes.append(outcome)
+        return outcomes
 
     def _run_explained(
         self, session, request: QueryRequest, index: int

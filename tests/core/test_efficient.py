@@ -179,9 +179,13 @@ class TestStream:
             step = stream.advance()
             if step is None:
                 break
-            _gd, records = step
-            for client, facility, _dist, _is_existing in records:
-                seen[client.client_id].add(facility)
+            _gd, retrieval = step
+            if retrieval is None:
+                continue
+            facility, _is_existing, client_ids, dists = retrieval
+            assert len(client_ids) == len(dists)
+            for client_id in client_ids:
+                seen[client_id].add(facility)
         expected = fs.all_facilities
         for client in clients:
             missing = {
@@ -221,6 +225,9 @@ class TestStream:
             step = stream.advance()
             if step is None:
                 break
-            gd, records = step
-            for _client, _facility, dist, _is_existing in records:
+            gd, retrieval = step
+            if retrieval is None:
+                continue
+            _facility, _is_existing, _client_ids, dists = retrieval
+            for dist in dists:
                 assert dist >= gd - 1e-9

@@ -284,14 +284,14 @@ class TestMaxSumLeader:
         state, existing, a, b = scripted_maxsum(office, 2)
         assert state.top == a  # all zero: smallest id leads
         # b earns the first settled win and takes the lead ...
-        state.record(0, b, 1.0, False)
-        state.record(0, existing, 2.0, True)
+        state.record(b, False, [0], [1.0])
+        state.record(existing, True, [0], [2.0])
         state.advance(2.0)
         assert state.settled_wins == {b: 1}
         assert state.top == b
         # ... and a tie on settled wins hands it back to the smaller id.
-        state.record(1, a, 1.0, False)
-        state.record(1, existing, 2.0, True)
+        state.record(a, False, [1], [1.0])
+        state.record(existing, True, [1], [2.0])
         state.advance(2.0)
         assert state.settled_wins == {a: 1, b: 1}
         assert state.top == a
@@ -304,17 +304,17 @@ class TestMaxSumLeader:
         # so ``dist < de`` never holds.  Scripted here so the branch
         # still keeps the leader and the scan in agreement.
         state, existing, a, b = scripted_maxsum(office, 2)
-        state.record(0, existing, 5.0, True)
+        state.record(existing, True, [0], [5.0])
         state.advance(5.0)
         assert 0 in state.settled_de
-        state.record(0, b, 3.0, False)  # settled: judged at once
+        state.record(b, False, [0], [3.0])  # settled: judged at once
         assert state.wins == {b: 1}
         assert state.settled_wins == {b: 1}
         assert state.top == b
         # Client 1 is unsettled and b has no win on it yet.
         assert state.check_answer() is None
         assert reference_maxsum_check(state) is None
-        state.record(1, b, 4.0, False)
+        state.record(b, False, [1], [4.0])
         state.advance(4.0)
         assert state.check_answer() == reference_maxsum_check(state)
         assert state.check_answer() == (b, 2)

@@ -332,11 +332,13 @@ class TestValueLanes:
         engine = VIPDistanceEngine(tree, use_kernels=True)
         scalar = VIPDistanceEngine(tree, use_kernels=False)
         assert engine.single_exit(single)
+        ids = [c.client_id for c in clients]
+        offsets = engine.single_door_offsets(single, clients)
         for target in sorted(venue.partition_ids())[:8]:
             kept, values = engine.idist_single_door(
-                single, clients, set(), target
+                single, ids, offsets, set(), target
             )
-            assert kept == clients
+            assert kept == ids
             assert values == [scalar.idist(c, target) for c in clients]
 
     def test_idist_single_door_filters_pruned(self, setup):
@@ -358,11 +360,14 @@ class TestValueLanes:
             p for p in sorted(venue.partition_ids()) if p != single
         )
         pruned = {clients[0].client_id}
+        ids = [c.client_id for c in clients]
+        offsets = engine.single_door_offsets(single, clients)
         kept, values = engine.idist_single_door(
-            single, clients, pruned, target
+            single, ids, offsets, pruned, target
         )
-        assert kept == clients[1:]
-        assert len(values) == len(kept)
+        assert kept == ids[1:]
+        scalar = VIPDistanceEngine(tree, use_kernels=False)
+        assert values == [scalar.idist(c, target) for c in clients[1:]]
         assert engine.stats.idist_calls == len(kept)
         assert engine.stats.single_door_shortcuts == len(kept)
         # One batch for the lane itself plus one for the cold iMinD

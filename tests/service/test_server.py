@@ -16,7 +16,16 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro import IFLSEngine, QueryRequest, QueryResponse, open_venue
+from repro import (
+    Client,
+    FacilitySets,
+    IFLSEngine,
+    QueryRequest,
+    QueryResponse,
+    Rect,
+    VenueBuilder,
+    open_venue,
+)
 from repro.service import IFLSService
 from tests.conftest import facility_split, make_clients
 
@@ -268,6 +277,54 @@ class TestRouting:
             status, body = harness.request(method, path)
             assert status == 405, (method, path)
             assert body["error"] == "MethodNotAllowed"
+
+
+class TestFlushIsolation:
+    def test_failed_solve_fails_only_its_own_request(self):
+        """A query whose solve raises inside a coalesced flush gets its
+        own error; its co-batched strangers get their own answers."""
+        builder = VenueBuilder("islands")
+        a1 = builder.add_room(Rect(0, 0, 5, 5))
+        a2 = builder.add_room(Rect(5, 0, 10, 5))
+        builder.connect(a1, a2)
+        b1 = builder.add_room(Rect(20, 0, 25, 5))
+        b2 = builder.add_room(Rect(25, 0, 30, 5))
+        builder.connect(b1, b2)
+        venue = builder.build(validate=False)  # two islands on purpose
+        clients = (Client(0, venue.partition(a1).center, a1),)
+        good = QueryRequest(
+            clients=clients,
+            facilities=FacilitySets(frozenset(), frozenset({a2})),
+        )
+        unreachable = QueryRequest(
+            clients=clients,
+            facilities=FacilitySets(frozenset({b1}), frozenset({b2})),
+        )
+        # A full batch of three flushes at once; the window only has
+        # to outlast the three concurrent arrivals.
+        harness = ServiceHarness(
+            open_venue(venue), flush_window=0.5, max_batch=3, pool_size=1
+        )
+        try:
+            def post(request):
+                return harness.request(
+                    "POST", "/query", request.to_payload()
+                )
+
+            alone_status, alone = post(good)
+            assert alone_status == 200
+            assert alone["objective_value"] == 2.5
+            flushed = harness.service.coalescer.batches_flushed
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                outcomes = list(pool.map(post, [good, unreachable, good]))
+            assert [status for status, _ in outcomes] == [200, 400, 200]
+            assert harness.service.coalescer.batches_flushed == flushed + 1
+            assert outcomes[1][1]["error"] == "UnreachableFacilityError"
+            for _status, payload in (outcomes[0], outcomes[2]):
+                for key in ("answer", "objective_value", "status"):
+                    assert payload[key] == alone[key]
+        finally:
+            harness.close()
 
 
 class TestGracefulShutdown:
