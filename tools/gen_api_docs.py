@@ -22,6 +22,40 @@ OUT = Path(__file__).resolve().parents[1] / "docs" / "API.md"
 # Hand-maintained prose sections are authored HERE (the output file
 # is generated; edits to docs/API.md are overwritten).
 MIGRATION = """\
+## Migrating to 5.0
+
+5.0 hands each facility retrieval to the objective state in one call.
+A retrieval's records share a facility and a kind, so they travel as
+two aligned plain lists, client ids and distances, instead of one
+tuple per record.  Answers, objectives and every counter are
+unchanged.  Each changed signature, with its replacement:
+
+| Changed in 5.0 | Replacement | Notes |
+|---|---|---|
+| `FacilityStream.advance()` returning `(gd, records)`, one \
+`(client, facility, dist, is_existing)` tuple per record (empty for a \
+node pop) | `(gd, None)` for a node pop or a pop on an emptied group; \
+`(gd, (facility, is_existing, client_ids, dists))` for a retrieval | \
+Client ids, not `Client` objects.  The id list may be the group's own: \
+treat it as read-only.  Kernel and scalar retrieval build the same \
+lists. |
+| `ObjectiveState.record(client_id, facility, dist, is_existing)`, \
+once per record | `record(facility, is_existing, client_ids, dists)`, \
+once per retrieval | A state of your own loops over \
+`zip(client_ids, dists)`.  The pre-phase hands over one retrieval per \
+client group inside a facility, every distance 0. |
+| `VIPDistanceEngine.idist_single_door(partition_id, clients, pruned, \
+target)` returning `(clients, values)` | \
+`idist_single_door(partition_id, client_ids, offsets, pruned, target)` \
+returning `(client_ids, values)`, with \
+`offsets = engine.single_door_offsets(partition_id, clients)` | The \
+offsets are computed once per client group, not once per retrieval. |
+| A `Coalescer` runner returning only responses; any exception failed \
+the whole flush | A runner returns each request's response or the \
+exception its solve raised | The service answers each request of a \
+flush in its own `try`: one unreachable query no longer fails its \
+co-batched strangers. |
+
 ## Migrating to 4.0
 
 4.0 measures and stores every experiment one way.  Each sweep of
