@@ -46,13 +46,14 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Sequence,
     Set,
     Tuple,
 )
 
 from ..errors import QueryError, UnreachableFacilityError
 from ..indoor.entities import Client, PartitionId
-from ..index.distance import VIPDistanceEngine
+from ..index.distance import ARRAY_CLIENTS, VIPDistanceEngine
 from ..index.node import VIPNode
 from ..obs import profile as _profile
 from ..obs import trace as _trace
@@ -89,22 +90,24 @@ class EfficientOptions:
         optimisation removes;
     ``traversal=TOP_DOWN``
         seeds each traversal at the root instead of the client's leaf.
-    ``use_kernels``
-        forces the array-kernel facility retrieval on (``True``) or off
-        (``False``) for this query; ``None`` follows the distance
-        engine's ``use_kernels`` setting.  Answers are bit-identical
-        either way — ``False`` is the scalar oracle the kernel tests
-        compare against.
+
+    Whether a facility retrieval runs on the array kernels is the
+    distance engine's choice (``VIPDistanceEngine(use_kernels=...)``),
+    not a per-query option: both paths give the same answers.
     """
 
     prune_clients: bool = True
     group_by_partition: bool = True
     traversal: str = BOTTOM_UP
-    use_kernels: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.traversal not in (BOTTOM_UP, TOP_DOWN):
             raise QueryError(f"unknown traversal {self.traversal!r}")
+
+
+#: A group's exit-door offsets: one list per exit door, aligned with
+#: the clients, or one ``(exit doors, clients)`` array.
+Offsets = Sequence[Sequence[float]]
 
 
 @dataclass
@@ -124,23 +127,57 @@ class _Group:
     # The clients' ids, aligned with ``clients``: retrievals hand these
     # to the objective state.
     client_ids: List[int] = field(init=False)
-    # Array-laid client state (offsets, active mask), attached lazily
-    # by FacilityStream when the kernel path is on; None otherwise.
-    # Single-exit-door groups never get arrays — they stay on the
-    # dedicated no-arrays lane (single_exit memoises that check), which
-    # keeps each client's offset to the one exit door in ``offsets``.
-    arrays: Optional[object] = None
-    single_exit: Optional[bool] = None
-    offsets: Optional[List[float]] = None
+    # The clients' offsets to each exit door, one list per door
+    # aligned with ``clients`` (VIPDistanceEngine.exit_offsets);
+    # filled at the group's first kernel-path retrieval.
+    offsets: Optional[List[List[float]]] = None
+    # (len(pruned), active ids, their offsets).  ``pruned`` only grows
+    # between compactions, so its size tells whether a prune happened
+    # since the offsets were sliced.
+    _active: Optional[Tuple[int, List[int], Offsets]] = field(
+        default=None, init=False, repr=False
+    )
+    # ``offsets`` as one 2-D array, built once per compaction for the
+    # array reduction of large multi-door groups.
+    _array: Optional[object] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.client_ids = [client.client_id for client in self.clients]
 
-    def prune(self, client_id: int) -> None:
-        """Mark one client resolved (lazy removal)."""
-        self.pruned.add(client_id)
-        if self.arrays is not None:
-            self.arrays.mark_pruned(client_id)
+    def active(self) -> Tuple[List[int], Offsets]:
+        """The unpruned clients' ids and exit-door offsets, in order.
+
+        From ``ARRAY_CLIENTS`` active clients of a multi-door partition
+        up, the offsets are one 2-D array, the form
+        :meth:`~repro.index.distance.VIPDistanceEngine.idist_group`
+        sums in one reduction; below it, plain lists.  Either may alias
+        the group's own state: treat both as read-only.
+        """
+        pruned = self.pruned
+        cached = self._active
+        if cached is None or cached[0] != len(pruned):
+            ids, offsets = self.client_ids, self.offsets
+            keep = None
+            if pruned:
+                keep = [
+                    index
+                    for index, client_id in enumerate(ids)
+                    if client_id not in pruned
+                ]
+                ids = [ids[index] for index in keep]
+            if len(ids) >= ARRAY_CLIENTS and len(offsets) > 1:
+                if self._array is None:
+                    # numpy is present whenever the kernel path runs.
+                    import numpy
+
+                    self._array = numpy.array(offsets)
+                offsets = self._array
+                if keep is not None:
+                    offsets = offsets[:, keep]
+            elif keep is not None:
+                offsets = _take(offsets, keep)
+            cached = self._active = (len(pruned), ids, offsets)
+        return cached[1], cached[2]
 
     def compact(self) -> None:
         """Drop the pruned clients from every aligned list."""
@@ -153,10 +190,15 @@ class _Group:
         self.clients = [self.clients[index] for index in keep]
         self.client_ids = [self.client_ids[index] for index in keep]
         if self.offsets is not None:
-            self.offsets = [self.offsets[index] for index in keep]
+            self.offsets = _take(self.offsets, keep)
         pruned.clear()
-        if self.arrays is not None:
-            self.arrays.compact(self.clients)
+        self._active = None
+        self._array = None
+
+
+def _take(offsets: List[List[float]], keep: List[int]) -> List[List[float]]:
+    """The ``keep`` entries of each exit door's offset list."""
+    return [list(map(column.__getitem__, keep)) for column in offsets]
 
 
 #: One facility retrieval as :meth:`FacilityStream.advance` hands it
@@ -184,7 +226,6 @@ class FacilityStream:
         candidates: frozenset,
         traversal: str = BOTTOM_UP,
         stats: Optional[QueryStats] = None,
-        use_kernels: Optional[bool] = None,
     ) -> None:
         self.engine = engine
         self.tree = engine.tree
@@ -192,17 +233,6 @@ class FacilityStream:
         self.existing = existing
         self.facilities = existing | candidates
         self.stats = stats if stats is not None else QueryStats()
-        # Kernel facility retrieval: None follows the engine; False
-        # forces the scalar loop (the oracle); True demands kernels.
-        if use_kernels is None:
-            self._use_kernels = engine.use_kernels
-        elif use_kernels and not engine.use_kernels:
-            raise QueryError(
-                "use_kernels=True needs a distance engine constructed "
-                "with kernels enabled"
-            )
-        else:
-            self._use_kernels = bool(use_kernels)
         # Fetched once per query: with profiling off this is None and
         # the per-dequeue hook below is a single local test.
         self._profiler = _profile.active()
@@ -243,62 +273,6 @@ class FacilityStream:
         )
         self.stats.queue_pushes += 1
 
-    def _retrieve_kernel(
-        self, group: _Group, ident: PartitionId
-    ) -> Tuple[List[int], List[float]]:
-        """One facility retrieval as array kernels (Lemma 5.1 hot loop).
-
-        The scalar loop pays, per dequeue, one Python iteration per
-        client (pruned-set probe + ``idist`` with its door loops).
-        Here a single-exit-door group answers from one ``iMinD`` plus
-        the per-client door offsets it computed on its first
-        retrieval, and any other group's client state lives in a
-        :class:`~repro.index.kernels.GroupArrays`: the active rows are
-        one cached mask scan and the distances one
-        :meth:`~repro.index.distance.VIPDistanceEngine.idist_values`
-        call over the pack's memoised per-exit-door reductions.
-        Returns the active clients' ids and distances in client-list
-        order, bit-identical to the scalar loop.
-        """
-        engine = self.engine
-        arrays = group.arrays
-        if arrays is None:
-            single = group.single_exit
-            if single is None:
-                single = engine.single_exit(group.partition_id)
-                group.single_exit = single
-            if single:
-                # Single-exit-door group: no offset matrix to pack —
-                # the dedicated lane answers from one iMinD plus the
-                # per-client offsets, and the group keeps its plain
-                # pruned-set bookkeeping (arrays stays None).
-                offsets = group.offsets
-                if offsets is None:
-                    offsets = engine.single_door_offsets(
-                        group.partition_id, group.clients
-                    )
-                    group.offsets = offsets
-                return engine.idist_single_door(
-                    group.partition_id,
-                    group.client_ids,
-                    offsets,
-                    group.pruned,
-                    ident,
-                )
-            # First retrieval for this group: pack offsets once, with
-            # the mask seeded from the prunes that already happened.
-            arrays = engine.group_arrays(
-                group.clients,
-                group.partition_id,
-                pruned=group.pruned,
-            )
-            group.arrays = arrays
-        rows, values = engine.idist_values(arrays, ident)
-        client_ids = group.client_ids
-        if len(rows) == len(client_ids):
-            return client_ids, values
-        return [client_ids[row] for row in rows], values
-
     def advance(self) -> Optional[Tuple[float, Optional[Retrieval]]]:
         """One dequeue step: ``(Gd, retrieval)`` or ``None`` when done.
 
@@ -324,12 +298,22 @@ class FacilityStream:
             # |C[p]| > 0 guard — no distances, no expansion.
             return key, None
         if entity == _ENTITY_FACILITY:
-            if self._use_kernels:
-                client_ids, dists = self._retrieve_kernel(group, ident)
+            engine = self.engine
+            if engine.use_kernels:
+                # One engine call per retrieval, over offsets taken
+                # once per group; the scalar loop below is the oracle.
+                if group.offsets is None:
+                    group.offsets = engine.exit_offsets(
+                        group.partition_id, group.clients
+                    )
+                client_ids, offsets = group.active()
+                dists = engine.idist_group(
+                    group.partition_id, offsets, ident
+                )
             else:
                 client_ids = []
                 dists = []
-                idist = self.engine.idist
+                idist = engine.idist
                 for client in group.clients:
                     if client.client_id in pruned:
                         continue
@@ -722,13 +706,12 @@ def _solve(
         problem.candidates,
         traversal=options.traversal,
         stats=stats,
-        use_kernels=options.use_kernels,
     )
 
     def prune_settled() -> None:
         if options.prune_clients:
             for client_id in state.newly_settled:
-                group_of_client[client_id].prune(client_id)
+                group_of_client[client_id].pruned.add(client_id)
         state.newly_settled.clear()
 
     # ------------------------------------------------------------------

@@ -17,9 +17,12 @@ Wire format
 ``QueryRequest.to_payload()`` / ``from_payload()`` round-trip through
 plain JSON-compatible dictionaries.  Clients use the workload schema of
 :mod:`repro.indoor.io` (``{"id", "location": [x, y, level],
-"partition"}``); facility sets are sorted id lists.  Decoding raises
+"partition"}``); facility sets are sorted id lists; the boolean
+fields (``prune_clients``, ``group_by_partition``, ``explain``) take
+JSON ``true``/``false`` only.  Decoding raises
 :class:`~repro.errors.ProtocolError` on malformed payloads so the
-service maps them to HTTP 400 without guessing.
+service maps them to HTTP 400 without guessing; keys it does not know
+are ignored.
 """
 
 from __future__ import annotations
@@ -42,16 +45,31 @@ _ALGORITHMS = ("efficient", "baseline", "bruteforce")
 WIRE_FORMAT = "ifls-query/1"
 
 
+def _flag(payload: Dict[str, Any], name: str, default: bool) -> bool:
+    """A boolean wire field: JSON ``true``/``false`` or absent.
+
+    ``bool()`` would read ``"false"`` and ``"no"`` as true, so anything
+    else is a :class:`ProtocolError`.
+    """
+    value = payload.get(name, default)
+    if not isinstance(value, bool):
+        raise ProtocolError(
+            f"{name} must be true or false, got {value!r}"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class QueryRequest:
     """Everything one IFLS query asks for, in one place.
 
-    ``prune_clients``, ``group_by_partition``, ``traversal`` and
-    ``use_kernels`` are the solver ablations of
+    ``prune_clients``, ``group_by_partition`` and ``traversal`` are
+    the solver ablations of
     :class:`~repro.core.efficient.EfficientOptions` (see
     :meth:`options`).  Session/pool keywords (``max_cache_entries``,
     ``workers``, …) deliberately do **not** appear — they configure
-    executors, not queries.
+    executors, not queries; nor does the kernel choice, which belongs
+    to the engine.
 
     ``timeout_seconds`` is honoured by the query service (HTTP 504 when
     exceeded); library executors ignore it.  ``explain`` asks the
@@ -72,7 +90,6 @@ class QueryRequest:
     prune_clients: bool = True
     group_by_partition: bool = True
     traversal: str = BOTTOM_UP
-    use_kernels: Optional[bool] = None
     timeout_seconds: Optional[float] = None
     explain: bool = False
     request_id: str = ""
@@ -106,14 +123,12 @@ class QueryRequest:
             self.prune_clients
             and self.group_by_partition
             and self.traversal == BOTTOM_UP
-            and self.use_kernels is None
         ):
             return None
         return EfficientOptions(
             prune_clients=self.prune_clients,
             group_by_partition=self.group_by_partition,
             traversal=self.traversal,
-            use_kernels=self.use_kernels,
         )
 
     # ------------------------------------------------------------------
@@ -146,8 +161,6 @@ class QueryRequest:
             payload["group_by_partition"] = False
         if self.traversal != BOTTOM_UP:
             payload["traversal"] = self.traversal
-        if self.use_kernels is not None:
-            payload["use_kernels"] = self.use_kernels
         if self.timeout_seconds is not None:
             payload["timeout_seconds"] = self.timeout_seconds
         if self.explain:
@@ -192,16 +205,15 @@ class QueryRequest:
                 objective=str(payload.get("objective", MINMAX)),
                 algorithm=str(payload.get("algorithm", "efficient")),
                 label=str(payload.get("label", "")),
-                prune_clients=bool(payload.get("prune_clients", True)),
-                group_by_partition=bool(
-                    payload.get("group_by_partition", True)
+                prune_clients=_flag(payload, "prune_clients", True),
+                group_by_partition=_flag(
+                    payload, "group_by_partition", True
                 ),
                 traversal=str(payload.get("traversal", BOTTOM_UP)),
-                use_kernels=payload.get("use_kernels"),
                 timeout_seconds=(
                     float(timeout) if timeout is not None else None
                 ),
-                explain=bool(payload.get("explain", False)),
+                explain=_flag(payload, "explain", False),
                 request_id=str(payload.get("request_id", "")),
             )
         except QueryError as exc:

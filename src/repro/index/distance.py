@@ -33,9 +33,9 @@ baseline-vs-efficient comparisons in ``bench/`` are apples-to-apples):
 With ``use_kernels`` enabled (the default when numpy is importable,
 see :mod:`repro.index.kernels`) the engine resolves the *inner door
 loops* of ``imind_partitions`` / ``imind_node`` through dense-array
-reductions, answers whole client groups per call
-(:meth:`group_arrays` with :meth:`idist_rows` / :meth:`idist_values`),
-and bounds every facility of a VIP-tree leaf from one cached pack row
+reductions, answers a client group's facility retrieval in one call
+(:meth:`idist_group` over the clients' :meth:`exit_offsets`), and
+bounds every facility of a VIP-tree leaf from one cached pack row
 (:meth:`imind_leaf`).  Values are
 bit-identical to the scalar path; counters stay ledger-consistent,
 with bulk increments: a kernelised ``imind_partitions`` miss counts
@@ -44,13 +44,19 @@ traffic), every array reduction counts one ``kernel_batches``, and
 :meth:`imind_leaf` counts each ``iMinD`` miss (one batch included)
 exactly as the per-pair call would, although one row answered them
 all.
+
+The tree's door-to-door matrix is not exactly symmetric (CH, MZB and
+CPH differ from the transpose in the last bits), so every distance is
+read in one fixed direction whatever was asked before: the door-pair
+memo is keyed on the ordered pair, and the partition-pair ``iMinD``
+reduces from the smaller partition id's doors, as the pack does.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Container, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Container, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import QueryError
 from ..indoor.entities import Client, PartitionId
@@ -61,6 +67,11 @@ from .node import VIPNode
 from .viptree import VIPTree
 
 INFINITY = float("inf")
+
+#: Active clients from which :meth:`VIPDistanceEngine.idist_group`
+#: sums a multi-door group in one array reduction: below it, numpy's
+#: per-call overhead costs more than Python float adds.
+ARRAY_CLIENTS = 32
 
 
 @dataclass
@@ -147,10 +158,11 @@ class VIPDistanceEngine:
     disables storage entirely (every request recomputes).
 
     ``use_kernels`` selects the dense-array fast paths of
-    :mod:`repro.index.kernels` for the inner door loops and enables the
-    batch entry points.  ``None`` (default) resolves to "numpy is
-    importable and ``IFLS_USE_KERNELS`` is not off"; ``False`` is the
-    scalar oracle path; ``True`` without numpy raises.
+    :mod:`repro.index.kernels` for the inner door loops and the
+    solver's facility retrievals (:meth:`idist_group`); it is the one
+    place that choice is made.  ``None`` (default) resolves to "numpy
+    is importable and ``IFLS_USE_KERNELS`` is not off"; ``False`` is
+    the scalar oracle path; ``True`` without numpy raises.
     """
 
     def __init__(
@@ -294,11 +306,16 @@ class VIPDistanceEngine:
         return doors
 
     def door_to_door(self, a: int, b: int) -> float:
-        """Door distance via the tree matrices (memoised if enabled)."""
+        """Door distance via the tree matrices (memoised if enabled).
+
+        Memoised per ordered pair: ``(a, b)`` and ``(b, a)`` may differ
+        in the last bits, and a memo hit must return what the matrices
+        return.
+        """
         self.stats.d2d_lookups += 1
         if not self.memoize:
             return self.tree.door_to_door(a, b)
-        key = (a, b) if a <= b else (b, a)
+        key = (a, b)
         cached = self._d2d_cache.get(key)
         if cached is not None:
             self.stats.d2d_cache_hits += 1
@@ -311,7 +328,11 @@ class VIPDistanceEngine:
     # iMinD: partition <-> entity
     # ------------------------------------------------------------------
     def imind_partitions(self, a: PartitionId, b: PartitionId) -> float:
-        """``iMinD`` between two partitions (0 when equal)."""
+        """``iMinD`` between two partitions (0 when equal).
+
+        Reduced over the door pairs read from the smaller id's doors,
+        so ``(a, b)`` and ``(b, a)`` give the same bits.
+        """
         if a == b:
             return 0.0
         self.stats.imind_calls += 1
@@ -322,8 +343,8 @@ class VIPDistanceEngine:
                 self.stats.imind_cache_hits += 1
                 return cached
         self.stats.distance_computations += 1
-        doors_a = self._doors(a)
-        doors_b = self._doors(b)
+        doors_lo = self._doors(key[0])
+        doors_hi = self._doors(key[1])
         pack = self._pack
         if pack is not None:
             # Whole door-pair block in one reduction.  Every pair is
@@ -332,14 +353,14 @@ class VIPDistanceEngine:
             # memo is bypassed — the pp memo entry stored below is the
             # reuse unit.  The reduction itself is memoised on the pack
             # (static tree data), so cold engines pay it once per tree.
-            self.stats.d2d_lookups += len(doors_a) * len(doors_b)
+            self.stats.d2d_lookups += len(doors_lo) * len(doors_hi)
             self.stats.kernel_batches += 1
             best = pack.partition_pair_min(a, b)
         else:
             best = INFINITY
-            for door_a in doors_a:
-                for door_b in doors_b:
-                    d = self.door_to_door(door_a, door_b)
+            for door_lo in doors_lo:
+                for door_hi in doors_hi:
+                    d = self.door_to_door(door_lo, door_hi)
                     if d < best:
                         best = d
         if self.memoize:
@@ -488,201 +509,89 @@ class VIPDistanceEngine:
         return best
 
     # ------------------------------------------------------------------
-    # Batch kernels: whole client groups / door sets per call
+    # Kernel path: one client group per facility retrieval
     # ------------------------------------------------------------------
     @property
     def kernel_pack(self) -> Optional["_kernels.KernelPack"]:
         """The tree's dense-array pack, or ``None`` on the scalar path."""
         return self._pack
 
-    def _require_pack(self) -> "_kernels.KernelPack":
-        if self._pack is None:
-            raise QueryError(
-                "batch kernels require an engine with use_kernels=True"
-            )
-        return self._pack
-
-    def group_arrays(
-        self,
-        clients: Sequence[Client],
-        partition_id: Optional[PartitionId] = None,
-        pruned: Sequence[int] = (),
-    ) -> "_kernels.GroupArrays":
-        """Array-laid state for one client group (shared partition).
-
-        Computes the clients' intra-partition offsets to every exit
-        door once — the scalar path recomputes them on every facility
-        retrieval — and initialises the active mask from ``pruned``.
-        """
-        self._require_pack()
-        if partition_id is None:
-            partition_id = clients[0].partition_id
-        exit_doors = self._doors(partition_id)
-        offsets = _kernels.group_offset_rows(
-            self.venue,
-            partition_id,
-            exit_doors,
-            self._door_locations,
-            clients,
-        )
-        return _kernels.GroupArrays(
-            partition_id, exit_doors, clients, offsets, pruned=pruned
-        )
-
-    def idist_rows(self, arrays, rows, target: PartitionId):
-        """``iDist(c, target)`` for the given rows of one group.
-
-        One call answers a whole facility retrieval: counters advance
-        exactly as ``len(rows)`` scalar :meth:`idist` calls would for
-        ``idist_calls`` / ``single_door_shortcuts``, the ``iMinD``
-        ledger advances once per *distinct* request (the scalar path's
-        repeats were memo hits), and the general case counts its full
-        exit-door x target-door block as ``d2d_lookups``.  Values are
-        bit-identical to the scalar path (same candidate sums, same
-        ``min`` reduction set).
-        """
-        np = _kernels._np
-        n = len(rows)
-        self.stats.idist_calls += n
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        source = arrays.partition_id
-        if source == target:
-            return np.zeros(n, dtype=np.float64)
-        exit_doors = arrays.exit_doors
-        offsets = arrays.offsets
-        if len(exit_doors) == 1:
-            self.stats.single_door_shortcuts += n
-            base = self.imind_partitions(source, target)
-            self.stats.kernel_batches += 1
-            col = (
-                offsets[:, 0]
-                if n == offsets.shape[0]
-                else offsets[rows, 0]
-            )
-            return base + col
-        target_doors = self._doors(target)
-        pairs = len(exit_doors) * len(target_doors)
-        self.stats.d2d_lookups += pairs
-        self.stats.kernel_batches += 1
-        if not pairs:
-            return np.full(n, INFINITY, dtype=np.float64)
-        # Per-exit-door mins over the target's doors, memoised on the
-        # pack: ``min_t fl(offset + d2d_et) == fl(offset + min_t
-        # d2d_et)`` because IEEE addition is monotone, so this is
-        # bit-identical to reducing the full (exit x target) block.
-        mins = self._require_pack().exit_door_mins(source, target)
-        if n != offsets.shape[0]:
-            offsets = offsets[rows]
-        return (offsets + mins).min(axis=1)
-
-    def idist_values(self, arrays, target: PartitionId):
-        """``iDist`` over a group's active rows, as plain lists.
-
-        Returns ``(rows, values)`` where ``rows`` is
-        ``arrays.active_list()``.  Counter advances and values are
-        identical to :meth:`idist_rows` over ``arrays.active_rows()``;
-        this lane exists because the solver's per-dequeue groups hold
-        only a handful of clients, where Python float adds beat numpy
-        dispatch.  Large groups delegate to the array lane.
-        """
-        rows = arrays.active_list()
-        n = len(rows)
-        if n >= 32:
-            dists = self.idist_rows(arrays, arrays.active_rows(), target)
-            return rows, dists.tolist()
-        self.stats.idist_calls += n
-        if n == 0:
-            return rows, []
-        source = arrays.partition_id
-        if source == target:
-            return rows, [0.0] * n
-        exit_doors = arrays.exit_doors
-        offsets = arrays.offset_lists()
-        if len(exit_doors) == 1:
-            self.stats.single_door_shortcuts += n
-            base = self.imind_partitions(source, target)
-            self.stats.kernel_batches += 1
-            return rows, [base + offsets[row][0] for row in rows]
-        target_doors = self._doors(target)
-        pairs = len(exit_doors) * len(target_doors)
-        self.stats.d2d_lookups += pairs
-        self.stats.kernel_batches += 1
-        if not pairs:
-            return rows, [INFINITY] * n
-        mins = self._require_pack().exit_door_mins_list(source, target)
-        values = []
-        for row in rows:
-            best = INFINITY
-            for offset, base in zip(offsets[row], mins):
-                cand = offset + base
-                if cand < best:
-                    best = cand
-            values.append(best)
-        return rows, values
-
-    def single_exit(self, partition_id: PartitionId) -> bool:
-        """True when the partition has exactly one exit door."""
-        return len(self._doors(partition_id)) == 1
-
-    def single_door_offsets(
+    def exit_offsets(
         self, partition_id: PartitionId, clients: Sequence[Client]
-    ) -> List[float]:
-        """Each client's intra-partition offset to the one exit door.
+    ) -> List[List[float]]:
+        """The clients' offsets to each exit door of their partition.
 
-        The per-client half of the single-door shortcut, computed once
-        per client group so :meth:`idist_single_door` only adds.  The
-        same ``Partition.intra_distance`` call the scalar :meth:`idist`
-        makes per retrieval.
+        One list per exit door, in door order, aligned with
+        ``clients``: the paper's ``d(c, d_i)`` terms, the same
+        ``Partition.intra_distance`` calls the scalar :meth:`idist`
+        makes per retrieval.  A client group computes them once per
+        query and hands its active clients' entries to
+        :meth:`idist_group`.  Per door rather than per client, so a
+        single-door group (most rooms) holds one flat list and a query
+        allocates no list per client.
         """
-        partition = self.venue.partition(partition_id)
-        door_location = self._door_locations[self._doors(partition_id)[0]]
+        intra = self.venue.partition(partition_id).intra_distance
+        locations = map(
+            self._door_locations.__getitem__, self._doors(partition_id)
+        )
         return [
-            partition.intra_distance(client.location, door_location)
-            for client in clients
+            [intra(client.location, location) for client in clients]
+            for location in locations
         ]
 
-    def idist_single_door(
+    def idist_group(
         self,
         partition_id: PartitionId,
-        client_ids: Sequence[int],
-        offsets: Sequence[float],
-        pruned: Set[int],
+        offsets: Sequence[Sequence[float]],
         target: PartitionId,
-    ) -> Tuple[Sequence[int], List[float]]:
-        """``iDist`` to ``target`` for a single-exit-door group.
+    ) -> List[float]:
+        """``iDist`` to ``target`` for clients of one partition.
 
-        The no-arrays lane of the kernel path: a group behind one exit
-        door needs no offset matrix — one ``iMinD`` plus each client's
-        offset from :meth:`single_door_offsets` (aligned with
-        ``client_ids``) — so the solver skips
-        :class:`~repro.index.kernels.GroupArrays` for such groups
-        entirely (on venues like MC, over 95% of partitions are
-        single-door rooms).  Returns ``(active_ids, values)`` for the
-        ids not in ``pruned``, in list order (``active_ids`` may alias
-        ``client_ids`` when nothing is pruned — treat it as
-        read-only).  Counters advance exactly as :meth:`idist_values`'
-        single-door lane, and the values are the same sums the scalar
-        ``idist`` shortcut produces.
+        ``offsets`` are the clients' :meth:`exit_offsets`: one list
+        per exit door, or one ``(exit doors, clients)`` array, which
+        spares the array reduction its conversion.  (A door-less
+        partition has none: its clients reach no facility, so no
+        retrieval asks.)  A single-exit-door
+        partition takes the paper's shortcut, one ``iMinD`` plus each
+        client's offset; any other adds each exit door's offsets to
+        the pack's minimum from that door
+        (:meth:`~repro.index.kernels.KernelPack.exit_door_mins`) and
+        keeps each client's smallest sum, in one array reduction from
+        ``ARRAY_CLIENTS`` clients up.  The values are the scalar
+        :meth:`idist`'s bit for bit, and the counters advance as one
+        scalar call per client would, with the ``iMinD`` ledger moved
+        once, the exit x target door block counted once as
+        ``d2d_lookups`` and one ``kernel_batches``.  Needs the pack.
         """
-        if pruned:
-            keep = [
-                index
-                for index, client_id in enumerate(client_ids)
-                if client_id not in pruned
-            ]
-            client_ids = [client_ids[index] for index in keep]
-            offsets = [offsets[index] for index in keep]
-        n = len(client_ids)
-        self.stats.idist_calls += n
+        n = len(offsets[0])
+        stats = self.stats
+        stats.idist_calls += n
         if n == 0:
-            return client_ids, []
+            return []
         if partition_id == target:
-            return client_ids, [0.0] * n
-        self.stats.single_door_shortcuts += n
-        base = self.imind_partitions(partition_id, target)
-        self.stats.kernel_batches += 1
-        return client_ids, [base + offset for offset in offsets]
+            return [0.0] * n
+        if len(offsets) == 1:
+            stats.single_door_shortcuts += n
+            base = self.imind_partitions(partition_id, target)
+            stats.kernel_batches += 1
+            return [base + offset for offset in offsets[0]]
+        pairs = len(offsets) * len(self._doors(target))
+        stats.d2d_lookups += pairs
+        stats.kernel_batches += 1
+        if not pairs:
+            return [INFINITY] * n
+        # min_t fl(offset + d2d_et) == fl(offset + min_t d2d_et): IEEE
+        # addition is monotone, so adding the reduced minima keeps the
+        # scalar door loop's bits.
+        mins = self._pack.exit_door_mins(partition_id, target)
+        if n >= ARRAY_CLIENTS:
+            np = _kernels._np
+            sums = np.asarray(offsets) + np.array(mins)[:, None]
+            return sums.min(axis=0).tolist()
+        return list(map(min, *(
+            [offset + best for offset in column]
+            for column, best in zip(offsets, mins)
+        )))
 
     def point_min_dist_to_node(self, client: Client, node: VIPNode) -> float:
         """Lower bound from an exact client location to a node.

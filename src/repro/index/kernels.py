@@ -3,9 +3,8 @@
 The scalar :class:`~repro.index.distance.VIPDistanceEngine` resolves
 every distance through dict-keyed door/partition lookups — one Python
 loop iteration (and one hash probe) per door pair.  This module re-lays
-the tree's matrices as dense numpy arrays once per tree, so the three
-IFLS distance primitives become sliced array reductions over a whole
-client group (or candidate set) per call:
+the tree's matrices as dense numpy arrays once per tree, so the IFLS
+distance primitives become sliced array reductions:
 
 * :class:`KernelPack` — the packed index data: one ``float64`` matrix
   of access-door rows (``R[row, col]`` = exact distance from access
@@ -13,12 +12,16 @@ client group (or candidate set) per call:
   the scalar ``row.get(b, inf)``), plus ``int32`` id→row / id→column
   maps for doors, per-node access-door row lists, and per-partition
   door column lists.  Built lazily by :meth:`VIPTree.kernels` and
-  shared by every engine on the tree.
-* :class:`GroupArrays` — per-group client state for the solvers: the
-  clients' intra-partition offsets to their exit doors as one
-  ``(clients, exit_doors)`` matrix (the paper's ``d(c, d_i)`` terms,
-  computed once per group instead of once per facility retrieval) and
-  the Lemma 5.1 pruned mask.
+  shared by every engine on the tree.  Its derived reductions (node
+  and leaf ``iMinD``, per-exit-door minima) are cached as plain floats.
+* :class:`LeafLayout` — the door layout of one VIP-tree leaf, which
+  turns a popped leaf's ``iMinD`` bounds into one reduction.
+
+The solver's client-group state (each client's offsets to its exit
+doors) lives with the group in :mod:`repro.core.efficient`;
+:meth:`VIPDistanceEngine.idist_group
+<repro.index.distance.VIPDistanceEngine.idist_group>` adds it to the
+pack's reductions.
 
 Every kernel computes exactly the same IEEE-754 values as the scalar
 path: the candidate sets are identical and only ``min`` reductions and
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 try:  # numpy is optional; the scalar path never imports it
     import numpy as _np
@@ -44,7 +47,7 @@ except ImportError:  # pragma: no cover - exercised via IFLS_USE_KERNELS
     _np = None
 
 from ..errors import IndexError_
-from ..indoor.entities import Client, DoorId, PartitionId
+from ..indoor.entities import DoorId, PartitionId
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 
@@ -164,14 +167,11 @@ class KernelPack:
         # they are shared by all engines on the tree and live for the
         # pack's lifetime; ``VIPTree.invalidate_kernels`` drops the
         # whole pack.  Bounded by |partitions| x |nodes| floats,
-        # |partitions|^2 short vectors, and for the leaf rows at most
+        # |partitions|^2 short lists, and for the leaf rows at most
         # |partitions| floats per partition (a partition sits in
         # exactly one leaf) plus one layout per leaf.
         self._node_min: Dict[Tuple[PartitionId, int], float] = {}
         self._exit_mins: Dict[
-            Tuple[PartitionId, PartitionId], "_np.ndarray"
-        ] = {}
-        self._exit_mins_list: Dict[
             Tuple[PartitionId, PartitionId], List[float]
         ] = {}
         self._leaf_layouts: Dict[int, LeafLayout] = {}
@@ -319,7 +319,7 @@ class KernelPack:
 
     def exit_door_mins(
         self, source: PartitionId, target: PartitionId
-    ) -> "_np.ndarray":
+    ) -> List[float]:
         """Per-exit-door min distance to any door of ``target`` (cached).
 
         Entry ``e`` is ``min_t d2d(exit_doors(source)[e],
@@ -328,8 +328,9 @@ class KernelPack:
         addition is monotone, ``min_t fl(offset + d2d_et)`` equals
         ``fl(offset + min_t d2d_et)`` bit for bit, so reducing the
         door block once here and adding offsets later reproduces the
-        scalar two-level loop exactly.  Empty door lists yield an
-        all-``inf`` / zero-length vector.
+        scalar two-level loop exactly.  Plain floats: the solver adds
+        them to a handful of clients' offsets at a time.  An empty
+        target yields all-``inf`` entries.
         """
         key = (source, target)
         mins = self._exit_mins.get(key)
@@ -337,28 +338,10 @@ class KernelPack:
             rows = self.partition_rows(source)
             cols = self.partition_cols(target)
             if rows.size and cols.size:
-                mins = self.F[rows[:, None], cols].min(axis=1)
+                mins = self.F[rows[:, None], cols].min(axis=1).tolist()
             else:
-                mins = _np.full(
-                    rows.size, INFINITY, dtype=_np.float64
-                )
+                mins = [INFINITY] * rows.size
             self._exit_mins[key] = mins
-        return mins
-
-    def exit_door_mins_list(
-        self, source: PartitionId, target: PartitionId
-    ) -> List[float]:
-        """:meth:`exit_door_mins` as plain floats (cached alongside).
-
-        The solver's per-dequeue lane works on 1-10 client groups where
-        Python float adds beat numpy dispatch; the values are the same
-        objects ``tolist`` produces from the cached vector.
-        """
-        key = (source, target)
-        mins = self._exit_mins_list.get(key)
-        if mins is None:
-            mins = self.exit_door_mins(source, target).tolist()
-            self._exit_mins_list[key] = mins
         return mins
 
     def partition_rows(self, partition_id: PartitionId) -> "_np.ndarray":
@@ -461,140 +444,6 @@ class LeafLayout:
             start += count
 
 
-class GroupArrays:
-    """Array-laid per-group client state for the solver hot loop.
-
-    Holds, aligned with the group's client list order:
-
-    * ``offsets`` — ``(clients, exit_doors)`` intra-partition distances
-      from each client to each exit door of the shared partition
-      (dense float64; :meth:`offset_lists` mirrors it as plain floats
-      for the solver's small-group lane);
-    * ``mask`` — "still active" flags (Lemma 5.1 pruning flips entries
-      to ``False``; the surviving rows are cached between prunes).
-
-    ``mask`` is a plain Python list on purpose: the solver dequeues
-    groups of a handful of clients, where list updates are cheaper than
-    numpy constructor/dispatch overhead, and the dense work already
-    happens against ``offsets`` and the pack's memoised reductions.
-    """
-
-    __slots__ = (
-        "partition_id", "exit_doors", "mask",
-        "_index_of", "_active_rows", "_active_list",
-        "_offsets_nd", "_offset_lists",
-    )
-
-    def __init__(
-        self,
-        partition_id: PartitionId,
-        exit_doors: Tuple[DoorId, ...],
-        clients: Sequence[Client],
-        offsets: "Union[_np.ndarray, List[List[float]]]",
-        pruned: Sequence[int] = (),
-    ) -> None:
-        self.partition_id = partition_id
-        self.exit_doors = exit_doors
-        if isinstance(offsets, list):
-            # Row lists from group_offset_rows: keep them as the
-            # primary store; the ndarray materialises on demand.
-            self._offsets_nd = None
-            self._offset_lists = offsets
-        else:
-            self._offsets_nd = offsets
-            self._offset_lists = None
-        self.mask: List[bool] = [True] * len(clients)
-        self._index_of = {
-            client.client_id: index
-            for index, client in enumerate(clients)
-        }
-        # Active-row cache: the mask scan repeats identically between
-        # prunes, so the rows (and their plain-int mirror for record
-        # building) are computed once and dropped on any mask change.
-        self._active_rows: "_np.ndarray" = None
-        self._active_list: List[int] = None
-        for client_id in pruned:
-            self.mark_pruned(client_id)
-
-    def mark_pruned(self, client_id: int) -> None:
-        """Flip one client's active-mask entry (O(1))."""
-        index = self._index_of.get(client_id)
-        if index is not None and self.mask[index]:
-            self.mask[index] = False
-            self._active_rows = None
-            self._active_list = None
-
-    def active_rows(self) -> "_np.ndarray":
-        """Row indices of still-active clients, in client-list order."""
-        rows = self._active_rows
-        if rows is None:
-            active = self.active_list()
-            rows = _np.fromiter(
-                active, dtype=_np.intp, count=len(active)
-            )
-            self._active_rows = rows
-        return rows
-
-    def active_list(self) -> List[int]:
-        """:meth:`active_rows` as plain ints (cached alongside it)."""
-        out = self._active_list
-        if out is None:
-            mask = self.mask
-            out = [index for index in range(len(mask)) if mask[index]]
-            self._active_list = out
-        return out
-
-    @property
-    def offsets(self) -> "_np.ndarray":
-        """The dense offset matrix (materialised on demand).
-
-        :meth:`compact` keeps only the plain-float row lists and drops
-        the ndarray; it is rebuilt here the next time an array consumer
-        (``idist_rows``, the public batch APIs) asks for it, so
-        small-group solver runs that stay on :meth:`offset_lists`
-        never pay the reconstruction.
-        """
-        nd = self._offsets_nd
-        if nd is None:
-            lists = self._offset_lists
-            nd = _np.array(lists, dtype=_np.float64)
-            if not lists:
-                nd = nd.reshape(0, len(self.exit_doors))
-            self._offsets_nd = nd
-        return nd
-
-    def offset_lists(self) -> List[List[float]]:
-        """``offsets`` as row lists of plain floats (cached).
-
-        Feeds the solver's small-group lane; :meth:`compact` slices
-        these lists in place of the ndarray (pruning flips the mask,
-        not the offsets, so prunes never invalidate them).
-        """
-        out = self._offset_lists
-        if out is None:
-            out = self._offsets_nd.tolist()
-            self._offset_lists = out
-        return out
-
-    def compact(self, clients: Sequence[Client]) -> None:
-        """Re-align the arrays after the group's lazy client compaction.
-
-        ``clients`` is the group's already-filtered list; the surviving
-        rows are exactly the mask's ``True`` entries, in order.
-        """
-        keep = self.active_list()
-        lists = self.offset_lists()
-        self._offset_lists = [lists[index] for index in keep]
-        self._offsets_nd = None
-        self.mask = [True] * len(keep)
-        self._index_of = {
-            client.client_id: index
-            for index, client in enumerate(clients)
-        }
-        self._active_rows = None
-        self._active_list = None
-
-
 def build_pack(tree: "VIPTree") -> KernelPack:
     """Construct a :class:`KernelPack` under its contract span."""
     started = time.perf_counter()
@@ -609,40 +458,11 @@ def build_pack(tree: "VIPTree") -> KernelPack:
     return pack
 
 
-def group_offset_rows(
-    venue,
-    partition_id: PartitionId,
-    exit_doors: Tuple[DoorId, ...],
-    door_locations: Dict[DoorId, object],
-    clients: Sequence[Client],
-) -> List[List[float]]:
-    """``(clients, exit_doors)`` intra-partition offsets as row lists.
-
-    Calls the exact same ``Partition.intra_distance`` the scalar path
-    uses per retrieval, once per (client, door) pair per query.  Plain
-    lists feed :class:`GroupArrays` directly: the solver dequeues
-    mostly-tiny groups, so skipping the eager ndarray (and its
-    element-wise fills) is a measurable win; the dense matrix
-    materialises lazily from these rows when an array consumer asks.
-    """
-    partition = venue.partition(partition_id)
-    locations = [door_locations[door] for door in exit_doors]
-    return [
-        [
-            partition.intra_distance(client.location, location)
-            for location in locations
-        ]
-        for client in clients
-    ]
-
-
 __all__: List[str] = [
     "ENV_FLAG",
-    "GroupArrays",
     "KernelPack",
     "LeafLayout",
     "available",
     "build_pack",
     "default_enabled",
-    "group_offset_rows",
 ]

@@ -74,7 +74,7 @@ def test_ablations_time_untraced(monkeypatch):
 
 
 #: The kernel pack's derived-distance memos, filled by solves.
-PACK_CACHES = ("_node_min", "_leaf_rows", "_exit_mins", "_exit_mins_list")
+PACK_CACHES = ("_node_min", "_leaf_rows", "_exit_mins")
 
 
 def test_ablation_variants_each_start_cold(monkeypatch):

@@ -5,9 +5,9 @@ reductions over the *same* candidate sets and identically-ordered
 additions, so every comparison here uses ``==`` on floats — the scalar
 engine (``use_kernels=False``) is the oracle, not an approximation
 baseline.  Covered: all three objectives, serial / session / parallel
-execution, the stream-level scalar ablation, and the degenerate
-workloads (single client, one group, everyone pruned in the
-pre-phase).
+execution, a venue whose door matrix is not exactly symmetric (MZB),
+and the degenerate workloads (single client, one group, everyone
+pruned in the pre-phase).
 """
 
 import random
@@ -22,11 +22,11 @@ from repro import (  # noqa: E402
     QueryRequest,
     run_batch_parallel,
 )
-from repro.core.efficient import EfficientOptions  # noqa: E402
 from repro.datasets import (  # noqa: E402
     random_facility_sets,
     small_office,
     uniform_clients,
+    venue_by_name,
 )
 
 OBJECTIVES = ("minmax", "mindist", "maxsum")
@@ -39,6 +39,15 @@ def engines():
     scalar = IFLSEngine(venue, tree=kernel.tree, use_kernels=False)
     assert kernel.use_kernels and not scalar.use_kernels
     return venue, kernel, scalar
+
+
+@pytest.fixture(scope="module")
+def mzb_engines():
+    venue = venue_by_name("MZB")
+    kernel = IFLSEngine(venue, use_kernels=True)
+    return venue, kernel, IFLSEngine(
+        venue, tree=kernel.tree, use_kernels=False
+    )
 
 
 def _workload(venue, seed, clients=40):
@@ -79,24 +88,31 @@ class TestSerialOracle:
         _assert_same_result(got, want)
         _assert_same_query_stats(got.stats, want.stats)
 
-    @pytest.mark.parametrize("objective", OBJECTIVES)
-    def test_stream_ablation_matches(self, engines, objective):
-        """Forcing the scalar retrieval loop on a kernel engine is a
-        pure ablation: same answers, same query counters."""
-        venue, kernel, _ = engines
-        clients, facilities = _workload(venue, 14)
-        ablated = kernel.query(
-            clients,
-            facilities,
-            objective=objective,
-            options=EfficientOptions(use_kernels=False),
-            cold=True,
-        )
-        full = kernel.query(
+    @pytest.mark.parametrize(
+        "seed,objective", [(2, "minmax"), (4, "minmax"), (1, "mindist")]
+    )
+    def test_mzb_cold_query_bit_identical(
+        self, mzb_engines, seed, objective
+    ):
+        """MZB's door matrix differs from its transpose in the last
+        bits: every distance must be read in the pack's direction."""
+        venue, kernel, scalar = mzb_engines
+        rng = random.Random(seed)
+        facilities = random_facility_sets(venue, 50, 100, rng)
+        clients = uniform_clients(venue, 300, rng)
+        got = kernel.query(
             clients, facilities, objective=objective, cold=True
         )
-        _assert_same_result(full, ablated)
-        _assert_same_query_stats(full.stats, ablated.stats)
+        want = scalar.query(
+            clients, facilities, objective=objective, cold=True
+        )
+        assert got.objective.hex() == want.objective.hex()
+        _assert_same_result(got, want)
+        _assert_same_query_stats(got.stats, want.stats)
+        assert (
+            got.stats.distance.idist_calls
+            == want.stats.distance.idist_calls
+        )
 
     def test_kernel_path_actually_ran(self, engines):
         venue, kernel, scalar = engines

@@ -30,7 +30,11 @@ from repro.datasets.venues import room_partitions
 from repro.datasets.workloads import uniform_clients
 from repro.errors import UnreachableFacilityError
 from repro.index import kernels
-from tests.core.test_section7_checks import OPTIONS, office_cases
+from tests.core.test_section7_checks import (
+    OPTIONS,
+    engine_for,
+    office_cases,
+)
 
 
 class ReferenceMinMaxState:
@@ -230,6 +234,7 @@ def office():
 @pytest.mark.parametrize("option", list(OPTIONS))
 def test_runs_match_reference_on_office(office, option):
     venue, engine, rooms = office
+    engine = engine_for(engine, option)
     tally = Tally()
     for clients, facilities in office_cases(venue, rooms):
         solve_dual(engine, clients, facilities, OPTIONS[option], tally)
@@ -254,7 +259,7 @@ def venue_engines():
 def test_runs_match_reference_on_venue(
     venue_engines, venue_name, draws, count, fe, fn, option
 ):
-    engine = venue_engines[venue_name]
+    engine = engine_for(venue_engines[venue_name], option)
     tally = Tally()
     for seed in range(draws):
         rng = random.Random(seed)

@@ -110,6 +110,43 @@ class TestWireCodec:
                     "traversal", "timeout_seconds", "explain"):
             assert key not in payload
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("prune_clients", "false"),
+            ("explain", "no"),
+            ("group_by_partition", 0),
+            ("explain", None),
+        ],
+    )
+    def test_boolean_fields_take_json_booleans_only(
+        self, office, field, value
+    ):
+        venue, _engine, rooms = office
+        payload = _request(venue, rooms).to_payload()
+        payload[field] = value
+        with pytest.raises(ProtocolError, match=field):
+            QueryRequest.from_payload(payload)
+
+    def test_boolean_fields_decode(self, office):
+        venue, _engine, rooms = office
+        payload = _request(venue, rooms).to_payload()
+        payload.update(
+            prune_clients=False, group_by_partition=False, explain=True
+        )
+        assert QueryRequest.from_payload(payload) == _request(
+            venue, rooms, prune_clients=False, group_by_partition=False,
+            explain=True,
+        )
+
+    def test_use_kernels_is_an_unknown_key(self, office):
+        """The kernel choice is the engine's: a payload that still
+        names it decodes as if it did not."""
+        venue, _engine, rooms = office
+        payload = _request(venue, rooms).to_payload()
+        payload["use_kernels"] = "off"
+        assert QueryRequest.from_payload(payload) == _request(venue, rooms)
+
     def test_from_payload_rejects_non_dict(self):
         with pytest.raises(ProtocolError):
             QueryRequest.from_payload([1, 2, 3])

@@ -23,13 +23,25 @@ from repro.datasets.workloads import uniform_clients
 
 INF = float("inf")
 
+#: The option sets the solver tests run.  ``scalar`` runs the default
+#: options on a scalar engine over the same tree (:func:`engine_for`):
+#: the kernel path is the engine's choice, not a per-query option.
+SCALAR = "scalar"
 OPTIONS = {
     "default": None,
     "no-prune": EfficientOptions(prune_clients=False),
     "no-group": EfficientOptions(group_by_partition=False),
     "top-down": EfficientOptions(traversal=TOP_DOWN),
-    "scalar": EfficientOptions(use_kernels=False),
+    SCALAR: None,
 }
+
+
+def engine_for(engine, option):
+    """The engine an option set runs on: ``engine`` itself, or for
+    :data:`SCALAR` a scalar engine sharing its tree."""
+    if option != SCALAR:
+        return engine
+    return IFLSEngine(engine.venue, tree=engine.tree, use_kernels=False)
 
 SOLVERS = {
     "mindist": mindist.efficient_mindist,
@@ -231,6 +243,7 @@ def test_fast_check_matches_scan_on_office(
     oracle, office, objective, option
 ):
     venue, engine, rooms = office
+    engine = engine_for(engine, option)
     for clients, facilities in office_cases(venue, rooms):
         result = SOLVERS[objective](
             engine.problem(clients, facilities), OPTIONS[option]
@@ -254,9 +267,10 @@ def test_fast_check_matches_scan_on_figure1(
         FacilitySets(existing, frozenset({pid}))
         for pid in sorted(candidates)
     ]
+    engine = engine_for(figure1_engine, option)
     for facilities in draws:
         SOLVERS[objective](
-            figure1_engine.problem(clients, facilities), OPTIONS[option]
+            engine.problem(clients, facilities), OPTIONS[option]
         )
     assert oracle.checks > oracle.answers > 0
 

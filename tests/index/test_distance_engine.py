@@ -1,12 +1,14 @@
 """Unit tests for the VIP-tree distance engine (iDist / iMinD)."""
 
+import random
 import sys
 
 import pytest
 
 from repro import DistanceService, VIPTree
+from repro.index import kernels
 from repro.index.distance import VIPDistanceEngine
-from repro.datasets import small_office
+from repro.datasets import small_office, uniform_clients, venue_by_name
 from tests.conftest import make_clients
 
 
@@ -190,6 +192,38 @@ class TestCounterSemantics:
                 + s.distance_computations
                 == s.imind_calls + s.imind_node_calls
             )
+
+
+class TestDirection:
+    """CPH's door matrix differs from its transpose in the last bits, so
+    no distance may depend on the direction an earlier call asked."""
+
+    @pytest.mark.parametrize(
+        "use_kernels", [False] + ([True] if kernels.available() else [])
+    )
+    def test_reverse_warmed_engine_matches_memo_free(self, use_kernels):
+        tree = VIPTree(venue_by_name("CPH"))
+        warm = VIPDistanceEngine(tree, use_kernels=use_kernels)
+        fresh = VIPDistanceEngine(
+            tree, memoize=False, use_kernels=use_kernels
+        )
+        rng = random.Random(29)
+        clients = uniform_clients(tree.venue, 60, rng)
+        targets = rng.sample(sorted(tree.venue.partition_ids()), 30)
+        for client in clients:
+            for target in targets:
+                source = client.partition_id
+                warm.imind_partitions(target, source)
+                for door in tree.venue.doors_of(target):
+                    for exit_door in tree.venue.doors_of(source):
+                        warm.door_to_door(door, exit_door)
+        differ = [
+            (client.client_id, target)
+            for client in clients
+            for target in targets
+            if warm.idist(client, target) != fresh.idist(client, target)
+        ]
+        assert differ == []
 
 
 class TestEviction:

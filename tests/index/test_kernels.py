@@ -1,4 +1,4 @@
-"""Dense-array kernel pack: packing, blocks, group state, gating.
+"""Dense-array kernel pack: packing, blocks, the group lane, gating.
 
 Every value-producing kernel is checked for *bit-identity* (``==``,
 not ``approx``) against the scalar resolution it replaces — the pack
@@ -14,11 +14,15 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro import VIPTree  # noqa: E402
-from repro.datasets import small_office, venue_by_name  # noqa: E402
-from repro.errors import IndexError_, QueryError  # noqa: E402
+from repro.datasets import (  # noqa: E402
+    small_office,
+    uniform_clients,
+    venue_by_name,
+)
+from repro.core.efficient import _Group  # noqa: E402
+from repro.errors import IndexError_  # noqa: E402
 from repro.index import kernels  # noqa: E402
-from repro.index.distance import VIPDistanceEngine  # noqa: E402
-from tests.conftest import make_clients  # noqa: E402
+from repro.index.distance import ARRAY_CLIENTS, VIPDistanceEngine  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +33,9 @@ def setup():
 
 
 def _clients_by_partition(venue, count, seed):
+    """Uniform clients (area-weighted, corridors included) by room."""
     groups = {}
-    for client in make_clients(venue, count, seed=seed):
+    for client in uniform_clients(venue, count, random.Random(seed)):
         groups.setdefault(client.partition_id, []).append(client)
     return groups
 
@@ -101,89 +106,6 @@ class TestD2DBlock:
                 ), (pid, node.node_id)
 
 
-class TestEngineBatches:
-    def test_idist_rows_matches_scalar(self, setup):
-        venue, tree = setup
-        engine = VIPDistanceEngine(tree, use_kernels=True)
-        scalar = VIPDistanceEngine(tree, use_kernels=False)
-        targets = sorted(venue.partition_ids())[:8]
-        for pid, group in sorted(_clients_by_partition(venue, 24, 31).items()):
-            arrays = engine.group_arrays(group, pid)
-            for target in targets:
-                got = engine.idist_rows(
-                    arrays, np.arange(len(group)), target
-                )
-                want = [scalar.idist(c, target) for c in group]
-                assert list(got) == want
-
-    def test_batch_entry_points_require_kernels(self, setup):
-        venue, tree = setup
-        scalar = VIPDistanceEngine(tree, use_kernels=False)
-        pid, group = next(iter(_clients_by_partition(venue, 8, 34).items()))
-        with pytest.raises(QueryError, match="use_kernels=True"):
-            scalar.group_arrays(group, pid)
-        assert scalar.kernel_pack is None
-
-
-class TestGroupArrays:
-    def _arrays(self, setup, seed=41):
-        venue, tree = setup
-        engine = VIPDistanceEngine(tree, use_kernels=True)
-        groups = _clients_by_partition(venue, 40, seed)
-        pid, clients = max(
-            groups.items(), key=lambda item: len(item[1])
-        )
-        return engine, pid, clients, engine.group_arrays(clients, pid)
-
-    def test_offsets_match_scalar_intra_distances(self, setup):
-        venue, _ = setup
-        engine, pid, clients, arrays = self._arrays(setup)
-        partition = venue.partition(pid)
-        for i, client in enumerate(clients):
-            for j, door in enumerate(arrays.exit_doors):
-                want = partition.intra_distance(
-                    client.location, engine._door_locations[door]
-                )
-                assert arrays.offsets[i, j] == want
-
-    def test_mask_prune_and_active_rows(self, setup):
-        _, _, clients, arrays = self._arrays(setup)
-        assert list(arrays.active_rows()) == list(range(len(clients)))
-        arrays.mark_pruned(clients[0].client_id)
-        arrays.mark_pruned(10**9)  # unknown ids are ignored
-        assert list(arrays.active_rows()) == list(
-            range(1, len(clients))
-        )
-
-    def test_compact_realigns_rows(self, setup):
-        _, _, clients, arrays = self._arrays(setup)
-        if len(clients) < 3:
-            pytest.skip("needs a group of at least 3 clients")
-        victim = clients[1]
-        arrays.mark_pruned(victim.client_id)
-        survivors = [c for c in clients if c is not victim]
-        before = arrays.offsets[arrays.active_rows()]
-        arrays.compact(survivors)
-        assert arrays.offsets.shape[0] == len(survivors)
-        assert np.array_equal(arrays.offsets, before)
-        assert list(arrays.active_rows()) == list(
-            range(len(survivors))
-        )
-        arrays.mark_pruned(survivors[0].client_id)
-        assert list(arrays.active_rows()) == list(
-            range(1, len(survivors))
-        )
-
-    def test_pruned_seeded_at_construction(self, setup):
-        engine, pid, clients, _ = self._arrays(setup)
-        arrays = engine.group_arrays(
-            clients, pid, pruned=[clients[0].client_id]
-        )
-        assert list(arrays.active_rows()) == list(
-            range(1, len(clients))
-        )
-
-
 class TestDerivedReductions:
     def test_exit_door_mins_matches_block_reduction(self, setup):
         venue, tree = setup
@@ -194,7 +116,7 @@ class TestDerivedReductions:
             for target in pids:
                 doors = tuple(venue.doors_of(target))
                 mins = pack.exit_door_mins(source, target)
-                assert mins.shape == (len(exits),)
+                assert len(mins) == len(exits)
                 for row, door in enumerate(exits):
                     want = min(
                         (tree.door_to_door(door, other) for other in doors),
@@ -208,9 +130,8 @@ class TestDerivedReductions:
         a, b = sorted(venue.partition_ids())[:2]
         mins = pack.exit_door_mins(a, b)
         assert pack.exit_door_mins(a, b) is mins
-        listed = pack.exit_door_mins_list(a, b)
-        assert listed == mins.tolist()
-        assert pack.exit_door_mins_list(a, b) is listed
+        assert type(mins) is list
+        assert all(type(best) is float for best in mins)
 
     def test_partition_pair_min_matches_scalar_imind(self, setup):
         venue, tree = setup
@@ -231,7 +152,7 @@ def _pair_min(pack, p, q):
     if p == q:
         return 0.0
     mins = pack.exit_door_mins(min(p, q), max(p, q))
-    return float(mins.min()) if mins.size else float("inf")
+    return min(mins, default=float("inf"))
 
 
 def _assert_leaf_rows_match_pairs(tree, sources):
@@ -269,110 +190,165 @@ class TestLeafRows:
         _assert_leaf_rows_match_pairs(tree, sources)
 
 
-class TestValueLanes:
-    def _group(self, setup, seed=44):
-        venue, tree = setup
-        groups = _clients_by_partition(venue, 40, seed)
-        pid, clients = max(groups.items(), key=lambda kv: len(kv[1]))
-        return venue, tree, pid, clients
+def _memo_free_scalar(tree):
+    return VIPDistanceEngine(tree, memoize=False, use_kernels=False)
 
-    def test_idist_values_matches_rows_and_counters(self, setup):
-        venue, tree, pid, clients = self._group(setup)
-        lists = VIPDistanceEngine(tree, use_kernels=True)
-        rows_eng = VIPDistanceEngine(tree, use_kernels=True)
-        for target in sorted(venue.partition_ids())[:8]:
-            a_lists = lists.group_arrays(clients, pid)
-            a_rows = rows_eng.group_arrays(clients, pid)
-            got_rows, got_values = lists.idist_values(a_lists, target)
-            want = rows_eng.idist_rows(
-                a_rows, a_rows.active_rows(), target
+
+@pytest.fixture(scope="module")
+def cph():
+    venue = venue_by_name("CPH")
+    return venue, VIPTree(venue)
+
+
+class TestGroupLane:
+    """``idist_group``: one call per facility retrieval, equal client
+    by client to a memo-free scalar ``idist``."""
+
+    def _targets(self, venue, count=10, seed=47):
+        pids = sorted(venue.partition_ids())
+        return random.Random(seed).sample(pids, min(count, len(pids)))
+
+    def _assert_lane_matches(
+        self, venue, tree, groups, targets, form=list
+    ):
+        engine = VIPDistanceEngine(tree, use_kernels=True)
+        scalar = _memo_free_scalar(tree)
+        for pid, clients in groups:
+            offsets = form(engine.exit_offsets(pid, clients))
+            for target in targets:
+                got = engine.idist_group(pid, offsets, target)
+                want = [scalar.idist(c, target) for c in clients]
+                assert [v.hex() for v in got] == [
+                    v.hex() for v in want
+                ], (pid, target)
+
+    def _multi_door_groups(self, venue, count, seed):
+        groups = _clients_by_partition(venue, count, seed)
+        return [
+            (pid, clients)
+            for pid, clients in sorted(groups.items())
+            if len(tuple(venue.doors_of(pid))) > 1
+        ]
+
+    def test_exit_offsets_match_intra_distances(self, setup):
+        venue, tree = setup
+        engine = VIPDistanceEngine(tree, use_kernels=True)
+        for pid, clients in _clients_by_partition(venue, 40, 41).items():
+            offsets = engine.exit_offsets(pid, clients)
+            partition = venue.partition(pid)
+            doors = tuple(venue.doors_of(pid))
+            assert len(offsets) == len(doors)
+            for column, door in zip(offsets, doors):
+                assert column == [
+                    partition.intra_distance(
+                        client.location, venue.door(door).location
+                    )
+                    for client in clients
+                ]
+
+    def test_list_offsets_match_scalar(self, setup, cph):
+        """Groups below ``ARRAY_CLIENTS``: the Python sum over offset
+        lists, single- and multi-door alike."""
+        for venue, tree in (setup, cph):
+            groups = [
+                (pid, clients[: ARRAY_CLIENTS - 1])
+                for pid, clients in sorted(
+                    _clients_by_partition(venue, 200, 45).items()
+                )
+            ]
+            assert any(len(c) > 1 for _, c in groups)
+            self._assert_lane_matches(
+                venue, tree, groups, self._targets(venue)
             )
-            assert got_rows == list(range(len(clients)))
-            assert got_values == want.tolist()
-        for field in (
-            "idist_calls",
-            "single_door_shortcuts",
-            "d2d_lookups",
-            "kernel_batches",
-            "imind_calls",
-            "distance_computations",
-        ):
-            assert getattr(lists.stats, field) == getattr(
-                rows_eng.stats, field
-            ), field
 
-    def test_idist_values_respects_pruning(self, setup):
-        venue, tree, pid, clients = self._group(setup)
-        engine = VIPDistanceEngine(tree, use_kernels=True)
-        scalar = VIPDistanceEngine(tree, use_kernels=False)
-        arrays = engine.group_arrays(clients, pid)
-        arrays.mark_pruned(clients[0].client_id)
-        target = next(
-            p for p in sorted(venue.partition_ids()) if p != pid
-        )
-        rows, values = engine.idist_values(arrays, target)
-        assert rows == list(range(1, len(clients)))
-        assert values == [
-            scalar.idist(c, target) for c in clients[1:]
+    def test_array_offsets_match_scalar(self, cph):
+        """Multi-door groups of at least ``ARRAY_CLIENTS`` clients take the
+        array reduction (CPH's halls have many doors), from offset
+        lists and from one 2-D array."""
+        venue, tree = cph
+        groups = [
+            (pid, clients)
+            for pid, clients in self._multi_door_groups(venue, 1500, 46)
+            if len(clients) >= ARRAY_CLIENTS
         ]
-
-    def test_idist_single_door_matches_scalar(self, setup):
-        venue, tree = setup
-        single = next(
-            p
-            for p in sorted(venue.partition_ids())
-            if len(tuple(venue.doors_of(p))) == 1
-        )
-        clients = [
-            c
-            for c in make_clients(venue, 60, seed=45)
-            if c.partition_id == single
-        ]
-        assert clients, "seeded clients reach a single-door partition"
-        engine = VIPDistanceEngine(tree, use_kernels=True)
-        scalar = VIPDistanceEngine(tree, use_kernels=False)
-        assert engine.single_exit(single)
-        ids = [c.client_id for c in clients]
-        offsets = engine.single_door_offsets(single, clients)
-        for target in sorted(venue.partition_ids())[:8]:
-            kept, values = engine.idist_single_door(
-                single, ids, offsets, set(), target
+        assert groups, "seeded clients fill a multi-door room"
+        for form in (list, np.array):
+            self._assert_lane_matches(
+                venue, tree, groups, self._targets(venue), form
             )
-            assert kept == ids
-            assert values == [scalar.idist(c, target) for c in clients]
 
-    def test_idist_single_door_filters_pruned(self, setup):
-        venue, tree = setup
-        single = next(
-            p
-            for p in sorted(venue.partition_ids())
-            if len(tuple(venue.doors_of(p))) == 1
-        )
-        clients = [
-            c
-            for c in make_clients(venue, 60, seed=46)
-            if c.partition_id == single
-        ]
-        if len(clients) < 2:
-            pytest.skip("needs two clients in one single-door room")
+    def test_pruned_subset_matches_scalar(self, cph):
+        """A group's active offsets after prunes (before and after its
+        offsets were taken) and after compaction."""
+        venue, tree = cph
         engine = VIPDistanceEngine(tree, use_kernels=True)
-        target = next(
-            p for p in sorted(venue.partition_ids()) if p != single
+        scalar = _memo_free_scalar(tree)
+        pid, clients = max(
+            self._multi_door_groups(venue, 1500, 48),
+            key=lambda item: len(item[1]),
         )
-        pruned = {clients[0].client_id}
-        ids = [c.client_id for c in clients]
-        offsets = engine.single_door_offsets(single, clients)
-        kept, values = engine.idist_single_door(
-            single, ids, offsets, pruned, target
-        )
-        assert kept == ids[1:]
-        scalar = VIPDistanceEngine(tree, use_kernels=False)
-        assert values == [scalar.idist(c, target) for c in clients[1:]]
-        assert engine.stats.idist_calls == len(kept)
-        assert engine.stats.single_door_shortcuts == len(kept)
-        # One batch for the lane itself plus one for the cold iMinD
-        # block reduction it triggered.
-        assert engine.stats.kernel_batches == 2
+        by_id = {c.client_id: c for c in clients}
+        ids = list(by_id)
+        targets = self._targets(venue, count=4)
+        group = _Group(pid, list(clients))
+
+        def check(expected):
+            active, offsets = group.active()
+            assert active == expected
+            for target in targets:
+                assert engine.idist_group(pid, offsets, target) == [
+                    scalar.idist(by_id[i], target) for i in active
+                ]
+
+        group.pruned.add(ids[0])
+        group.offsets = engine.exit_offsets(pid, group.clients)
+        check(ids[1:])
+        group.pruned.update(ids[2:5])
+        check([ids[1]] + ids[5:])
+        group.compact()
+        assert group.client_ids == [ids[1]] + ids[5:]
+        assert group.offsets == engine.exit_offsets(pid, group.clients)
+        check(group.client_ids)
+        group.pruned.add(ids[5])
+        check([ids[1]] + ids[6:])
+
+    def test_counters_advance_as_documented(self, setup, cph):
+        """One idist call per client; a single-door group counts that
+        many shortcuts and one batch, plus its ``iMinD``; a multi-door
+        group counts its exit x target door block and one batch."""
+        kinds = set()
+        for venue, tree in (setup, cph):
+            engine = VIPDistanceEngine(tree, use_kernels=True)
+            groups = _clients_by_partition(venue, 200, 49)
+            for pid, clients in sorted(groups.items()):
+                exits = len(tuple(venue.doors_of(pid)))
+                kinds.add(exits == 1)
+                offsets = engine.exit_offsets(pid, clients)
+                for target in self._targets(venue, count=3):
+                    if target == pid:
+                        continue
+                    before = engine.stats.snapshot()
+                    engine.idist_group(pid, offsets, target)
+                    after = engine.stats.snapshot()
+                    delta = {
+                        key: after[key] - before[key] for key in after
+                    }
+                    assert delta["idist_calls"] == len(clients)
+                    if exits == 1:
+                        computed = delta["distance_computations"]
+                        assert delta["single_door_shortcuts"] == len(
+                            clients
+                        )
+                        assert delta["imind_calls"] == 1
+                        assert delta["kernel_batches"] == 1 + computed
+                    else:
+                        doors = len(tuple(venue.doors_of(target)))
+                        assert delta["single_door_shortcuts"] == 0
+                        assert delta["imind_calls"] == 0
+                        assert delta["distance_computations"] == 0
+                        assert delta["d2d_lookups"] == exits * doors
+                        assert delta["kernel_batches"] == 1
+        assert kinds == {True, False}
 
 
 class TestGating:
@@ -396,6 +372,7 @@ class TestGating:
         _, tree = setup
         engine = VIPDistanceEngine(tree, use_kernels=False)
         assert not engine.use_kernels
+        assert engine.kernel_pack is None
         assert engine.stats.kernel_batches == 0
 
     def test_clear_caches_rebuilds_pack(self, setup):

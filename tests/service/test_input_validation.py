@@ -64,6 +64,8 @@ BAD_QUERIES = {
     "nan-token": lambda p: with_location(p, math.nan),
     "infinity-token": lambda p: with_location(p, math.inf),
     "nan-string": lambda p: with_location(p, "nan"),
+    "string-flag": lambda p: {**p, "prune_clients": "false"},
+    "int-flag": lambda p: {**p, "group_by_partition": 0},
 }
 
 

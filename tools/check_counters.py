@@ -35,7 +35,10 @@ asserts the structural invariants of :class:`QueryStats` /
   per-phase *own* counter deltas of ``engine.explain(...)`` sum
   exactly to the query's top-level :class:`DistanceStats` ledger;
 * kernel-vs-scalar ledger equality (when numpy is importable): for
-  every objective, a cold kernel query and a cold scalar query return
+  every objective on the office workload, and for seeded MZB and CPH
+  draws (multi-door client rooms, door matrices that differ from
+  their transposes in the last bits), a cold kernel query and a cold
+  scalar query return
   bit-identical answers/objectives, agree exactly on the
   path-independent counters (``idist_calls``,
   ``single_door_shortcuts``, ``imind_node_calls``,
@@ -83,11 +86,12 @@ from repro import (  # noqa: E402
     QueryRequest,
     QueryStats,
     TOP_DOWN,
+    VIPTree,
 )
 from repro.core.baseline import modified_minmax  # noqa: E402
 from repro.core.queries import OBJECTIVES  # noqa: E402
 from repro.core.problem import IFLSProblem  # noqa: E402
-from repro.datasets import small_office  # noqa: E402
+from repro.datasets import small_office, venue_by_name  # noqa: E402
 from repro.datasets.workloads import (  # noqa: E402
     random_facility_sets,
     uniform_clients,
@@ -394,70 +398,100 @@ def run_checks() -> List[str]:
     from repro.index import kernels
 
     if kernels.available():
-        kernel_engine = IFLSEngine(
-            venue, tree=engine.tree, use_kernels=True
+        violations += kernel_ledger_violations(
+            "kernels", engine.tree, clients, facilities, OBJECTIVES
         )
-        scalar_engine = IFLSEngine(
-            venue, tree=engine.tree, use_kernels=False
-        )
-        equal_distance_keys = (
-            "idist_calls",
-            "single_door_shortcuts",
-            "imind_node_calls",
-            "imind_node_cache_hits",
-            "distance_computations",
-        )
-        equal_query_keys = (
-            "clients_pruned",
-            "facilities_retrieved",
-            "queue_pushes",
-            "queue_pops",
-            "iterations",
-        )
-        for objective in OBJECTIVES:
-            label = f"kernels/{objective}"
-            got = kernel_engine.query(
-                clients, facilities, objective=objective, cold=True
+        for name, seed, fe, fn, count, objectives in KERNEL_DRAWS:
+            draw_venue = venue_by_name(name)
+            draw_rng = random.Random(seed)
+            draw_facilities = random_facility_sets(
+                draw_venue, fe, fn, draw_rng
             )
-            want = scalar_engine.query(
-                clients, facilities, objective=objective, cold=True
+            violations += kernel_ledger_violations(
+                f"kernels/{name}/{seed}",
+                VIPTree(draw_venue),
+                uniform_clients(draw_venue, count, draw_rng),
+                draw_facilities,
+                objectives,
             )
-            if (got.answer, got.objective) != (
-                want.answer, want.objective
-            ):
+    return violations
+
+
+#: Kernel-vs-scalar draws beyond the office: ``(venue, seed, |Fe|,
+#: |Fn|, |C|, objectives)``.  The office's client rooms all have one
+#: door and its door matrix is symmetric; MZB and CPH have multi-door
+#: client rooms and door matrices that differ from their transposes in
+#: the last bits, where a distance read in the wrong direction shows.
+KERNEL_DRAWS = (
+    ("MZB", 2, 50, 100, 300, ("minmax",)),
+    ("MZB", 4, 50, 100, 300, ("minmax",)),
+    ("MZB", 1, 50, 100, 300, ("mindist",)),
+    ("CPH", 1, 20, 35, 300, OBJECTIVES),
+)
+
+
+def kernel_ledger_violations(
+    label: str, tree, clients, facilities, objectives
+) -> List[str]:
+    """Cold kernel vs cold scalar queries on one shared tree."""
+    violations: List[str] = []
+    kernel_engine = IFLSEngine(tree.venue, tree=tree, use_kernels=True)
+    scalar_engine = IFLSEngine(tree.venue, tree=tree, use_kernels=False)
+    equal_distance_keys = (
+        "idist_calls",
+        "single_door_shortcuts",
+        "imind_node_calls",
+        "imind_node_cache_hits",
+        "distance_computations",
+    )
+    equal_query_keys = (
+        "clients_pruned",
+        "facilities_retrieved",
+        "queue_pushes",
+        "queue_pops",
+        "iterations",
+    )
+    for objective in objectives:
+        where = f"{label}/{objective}"
+        got = kernel_engine.query(
+            clients, facilities, objective=objective, cold=True
+        )
+        want = scalar_engine.query(
+            clients, facilities, objective=objective, cold=True
+        )
+        if (got.answer, got.objective) != (want.answer, want.objective):
+            violations.append(
+                f"{where}: kernel answer differs from the scalar "
+                f"oracle (({got.answer}, {got.objective!r}) != "
+                f"({want.answer}, {want.objective!r}))"
+            )
+        violations += check_query_stats(where, got.stats)
+        violations += check_query_stats(f"{where}/oracle", want.stats)
+        kd, sd = got.stats.distance, want.stats.distance
+        for key in equal_distance_keys:
+            mine, oracle = getattr(kd, key), getattr(sd, key)
+            if mine != oracle:
                 violations.append(
-                    f"{label}: kernel answer differs from the scalar "
-                    f"oracle (({got.answer}, {got.objective}) != "
-                    f"({want.answer}, {want.objective}))"
+                    f"{where}: {key} diverged from the scalar "
+                    f"oracle ({mine} != {oracle})"
                 )
-            violations += check_query_stats(label, got.stats)
-            violations += check_query_stats(f"{label}/oracle",
-                                            want.stats)
-            kd, sd = got.stats.distance, want.stats.distance
-            for key in equal_distance_keys:
-                mine, oracle = getattr(kd, key), getattr(sd, key)
-                if mine != oracle:
-                    violations.append(
-                        f"{label}: {key} diverged from the scalar "
-                        f"oracle ({mine} != {oracle})"
-                    )
-            for key in equal_query_keys:
-                mine = getattr(got.stats, key)
-                oracle = getattr(want.stats, key)
-                if mine != oracle:
-                    violations.append(
-                        f"{label}: {key} diverged from the scalar "
-                        f"oracle ({mine} != {oracle})"
-                    )
-            if kd.kernel_batches <= 0:
+        for key in equal_query_keys:
+            mine = getattr(got.stats, key)
+            oracle = getattr(want.stats, key)
+            if mine != oracle:
                 violations.append(
-                    f"{label}: kernel path counted no kernel_batches"
+                    f"{where}: {key} diverged from the scalar "
+                    f"oracle ({mine} != {oracle})"
                 )
-            if sd.kernel_batches != 0:
-                violations.append(
-                    f"{label}: scalar oracle counted "
-                    f"{sd.kernel_batches} kernel_batches"
-                )
+        if kd.kernel_batches <= 0:
+            violations.append(
+                f"{where}: kernel path counted no kernel_batches"
+            )
+        if sd.kernel_batches != 0:
+            violations.append(
+                f"{where}: scalar oracle counted "
+                f"{sd.kernel_batches} kernel_batches"
+            )
     return violations
 
 

@@ -22,6 +22,63 @@ OUT = Path(__file__).resolve().parents[1] / "docs" / "API.md"
 # Hand-maintained prose sections are authored HERE (the output file
 # is generated; edits to docs/API.md are overwritten).
 MIGRATION = """\
+## Migrating to 6.0
+
+6.0 answers every kernel-path facility retrieval with one engine call,
+`VIPDistanceEngine.idist_group(partition_id, offsets, target)`, over
+the clients' offsets to each exit door of their partition
+(`exit_offsets(partition_id, clients)`, one list per door).  Whether
+kernels run is the engine's choice alone (numpy present and
+`IFLS_USE_KERNELS` not off, or `use_kernels=` at construction); no
+query picks it.  Kernel-path
+answers and counters are unchanged.  The scalar path now reads each
+distance in the pack's direction, so a scalar engine's objective can
+move in the last bits on venues whose door matrix is not exactly
+symmetric (CH, MZB, CPH), and now equals the kernel path's.  Each name
+6.0 removed or changed, with its replacement:
+
+| Removed or changed in 6.0 | Replacement | Notes |
+|---|---|---|
+| `repro.index.kernels.GroupArrays`, \
+`VIPDistanceEngine.group_arrays(clients, pid, pruned)`, \
+`repro.index.kernels.group_offset_rows(...)` | \
+`offsets = engine.exit_offsets(pid, clients)` | One list of plain \
+floats per exit door, aligned with `clients`.  Drop a pruned client's \
+entries instead of masking them. |
+| `VIPDistanceEngine.idist_rows(arrays, rows, target)`, \
+`idist_values(arrays, target)` | \
+`engine.idist_group(pid, [[door[i] for i in rows] for door in \
+offsets], target)` | Returns a list.  Same values and counters. |
+| `VIPDistanceEngine.idist_single_door(pid, client_ids, offsets, \
+pruned, target)`, `single_door_offsets(pid, clients)` | \
+`engine.idist_group(pid, offsets, target)` over the unpruned clients' \
+`exit_offsets` | A single-exit-door partition has one offset list. |
+| `VIPDistanceEngine.single_exit(pid)` | \
+`len(tuple(venue.doors_of(pid))) == 1` | |
+| `KernelPack.exit_door_mins_list(source, target)`; \
+`exit_door_mins` returning an ndarray | \
+`exit_door_mins(source, target)`, now a list of floats | One cached \
+form. |
+| `EfficientOptions(use_kernels=...)`, \
+`FacilityStream(..., use_kernels=...)` | \
+`IFLSEngine(venue, tree=tree, use_kernels=False)` for the scalar \
+path | An engine over the same tree shares the index. |
+| `QueryRequest.use_kernels` and the `use_kernels` wire field | \
+`ifls serve --no-kernels`, or `open_venue(..., use_kernels=False)` | \
+A payload that still carries `use_kernels` decodes as if it did not, \
+like any other unknown key. |
+| Wire booleans decoded with `bool()` (`"prune_clients": "false"` \
+read as true) | JSON `true` / `false` only for `prune_clients`, \
+`group_by_partition` and `explain` | Anything else is a \
+`ProtocolError` (HTTP 400). |
+| `VIPDistanceEngine.door_to_door` memo keyed on the unordered pair \
+| keyed on `(a, b)` | `(a, b)` and `(b, a)` may differ in the last \
+bits; a hit returns what the matrices return for that direction. |
+| `FacilityStream._retrieve_kernel`, `_Group.arrays`, \
+`_Group.single_exit`, `_Group.prune`, \
+`VIPDistanceEngine._require_pack` (internal) | `_Group.offsets` and \
+`_Group.active()`; the driver adds settled ids to `group.pruned` | |
+
 ## Migrating to 5.0
 
 5.0 hands each facility retrieval to the objective state in one call.
@@ -46,10 +103,10 @@ once per retrieval | A state of your own loops over \
 client group inside a facility, every distance 0. |
 | `VIPDistanceEngine.idist_single_door(partition_id, clients, pruned, \
 target)` returning `(clients, values)` | \
-`idist_single_door(partition_id, client_ids, offsets, pruned, target)` \
-returning `(client_ids, values)`, with \
-`offsets = engine.single_door_offsets(partition_id, clients)` | The \
-offsets are computed once per client group, not once per retrieval. |
+`engine.idist_group(partition_id, offsets, target)` over the \
+unpruned clients' `engine.exit_offsets(partition_id, clients)` (6.0) \
+| The offsets are computed once per client group, not once per \
+retrieval. |
 | A `Coalescer` runner returning only responses; any exception failed \
 the whole flush | A runner returns each request's response or the \
 exception its solve raised | The service answers each request of a \
@@ -107,7 +164,8 @@ larger client counts. |
 answers serially on its pooled session. `QuerySession.run(workers=)` \
 and `run_batch_parallel` stay for library batches. |
 | `VIPDistanceEngine.idist_many(clients, target)` | \
-`engine.idist_rows(engine.group_arrays(clients, pid), rows, target)` | |
+`engine.idist_group(pid, engine.exit_offsets(pid, clients), target)` \
+(6.0) | |
 | `VIPDistanceEngine.door_to_door_many(a, b)`, \
 `KernelPack.d2d_block(a, b)` | \
 `pack.F[pack.source_rows(a)[:, None], pack.door_cols(b)]` | Counts \
@@ -169,7 +227,7 @@ Each name 2.0 removed, with its replacement:
 `QueryRequest(clients, fs, objective=..., label=...)` | Same positional \
 `clients, facilities` and keywords. `BatchQuery(..., \
 options=EfficientOptions(...))` becomes the flat `prune_clients` / \
-`group_by_partition` / `traversal` / `use_kernels` fields. |
+`group_by_partition` / `traversal` fields (`use_kernels` until 6.0). |
 | `Engine.query(clients, fs, objective=..., ...)` | \
 `Engine.query(QueryRequest(clients, fs, objective=..., ...))` | \
 `Engine.query` takes exactly one `QueryRequest`; anything else raises \
