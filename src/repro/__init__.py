@@ -111,7 +111,7 @@ from .obs import (
     observe,
 )
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "BACKENDS",

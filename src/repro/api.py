@@ -49,7 +49,6 @@ from .core.session import QuerySession
 from .errors import QueryError, VenueError
 from .indoor.entities import Client, FacilitySets
 from .indoor.venue import IndoorVenue
-from .index.snapshot import IndexSnapshot
 from .obs import trace as _trace
 
 #: Distance-index backends selectable at :func:`open_venue` time.
@@ -82,8 +81,8 @@ def open_venue(
       :func:`repro.indoor.io.save_venue`.
 
     The VIP-tree is built once here; everything opened through the
-    returned engine (sessions, pools, snapshots, the service) shares
-    it read-only.  ``use_kernels=None`` follows numpy availability and
+    returned engine (sessions, streams, the service) shares it
+    read-only.  ``use_kernels=None`` follows numpy availability and
     ``IFLS_USE_KERNELS`` as everywhere else.
     """
     if backend not in BACKENDS:
@@ -282,16 +281,6 @@ class Engine:
     def session(self, **kwargs) -> QuerySession:
         """Open a warm batch session (see ``IFLSEngine.session``)."""
         return self.core.session(**kwargs)
-
-    def snapshot(self) -> IndexSnapshot:
-        """A read-only shareable image of this engine's venue + tree."""
-        return IndexSnapshot.from_engine(self.core)
-
-    def pool(self, **kwargs):
-        """Open a warm :class:`~repro.service.pool.SessionPool`."""
-        from .service.pool import SessionPool
-
-        return SessionPool(self.snapshot(), **kwargs)
 
     def serve(self, **kwargs):
         """Build an :class:`~repro.service.server.IFLSService` over

@@ -321,11 +321,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        pool_size=args.pool_size,
         max_cache_entries=args.cache_budget,
         cache_bytes_budget=args.cache_bytes_budget,
-        flush_window=args.flush_window,
-        max_batch=args.max_batch,
         request_timeout=args.request_timeout,
         flight_capacity=args.flight_capacity,
         slow_query_seconds=slow if slow > 0 else None,
@@ -717,21 +714,13 @@ def build_parser() -> argparse.ArgumentParser:
                        default="viptree",
                        help="distance-index backend (IFLS queries "
                             "require viptree)")
-    serve.add_argument("--pool-size", type=int, default=2,
-                       help="warm sessions kept over the shared "
-                            "index snapshot")
-    serve.add_argument("--flush-window", type=float, default=0.01,
-                       help="seconds a flush waits to coalesce "
-                            "concurrent requests")
-    serve.add_argument("--max-batch", type=int, default=64,
-                       help="flush as soon as this many requests "
-                            "are pending")
     serve.add_argument("--cache-budget", type=int, default=None,
                        help="max memoised distance entries per "
                             "session (default unbounded)")
     serve.add_argument("--cache-bytes-budget", type=int, default=None,
-                       help="combined idle-session cache bytes before "
-                            "oldest-idle eviction (default off)")
+                       help="drop the session's memos after a flush "
+                            "that leaves them above this many bytes "
+                            "(default off)")
     serve.add_argument("--request-timeout", type=float, default=30.0,
                        help="per-request seconds before HTTP 504 "
                             "(overridable per query)")

@@ -133,9 +133,14 @@ class _MinDistState:
             if facility in marks:
                 # Move from the unsettled-exact pool into the settled
                 # adjustment (term value min(de, dist) stays exact).
-                self.ex_sum[facility] -= dist
+                # An emptied pool is exactly 0: subtracting its terms
+                # back out can leave rounding residue, which would make
+                # a candidate that ties the existing total look better.
                 count = self.ex_count[facility]
                 self.ex_count[facility] = count - 1
+                self.ex_sum[facility] = (
+                    self.ex_sum[facility] - dist if count > 1 else 0.0
+                )
                 if facility in self.alive:
                     self.level[count] -= 1
                     self.level[count - 1] += 1

@@ -66,7 +66,7 @@ class QueryRequest:
     ``prune_clients``, ``group_by_partition`` and ``traversal`` are
     the solver ablations of
     :class:`~repro.core.efficient.EfficientOptions` (see
-    :meth:`options`).  Session/pool keywords (``max_cache_entries``,
+    :meth:`options`).  Session/executor keywords (``max_cache_entries``,
     ``workers``, …) deliberately do **not** appear — they configure
     executors, not queries; nor does the kernel choice, which belongs
     to the engine.

@@ -1,30 +1,22 @@
 """Read-only images of a prepared engine: venue + built VIP-tree.
 
-:class:`IndexSnapshot` started life inside :mod:`repro.core.parallel`
-as the ``spawn``-path pickle vehicle.  The query service promoted it to
-a first-class sharing primitive: one snapshot now backs
-
-* the parallel executor's ``spawn`` workers (pickled once, restored
-  per process),
-* the ``fork`` path (the restored engine travels copy-on-write), and
-* per-venue *session pools* (:class:`repro.service.pool.SessionPool`),
-  where many warm sessions answer concurrently over the same tree
-  without re-pickling or rebuilding anything.
+:class:`IndexSnapshot` is the parallel executor's ``spawn`` payload
+(:mod:`repro.core.parallel`): the parent pickles it once with
+:meth:`~IndexSnapshot.to_bytes`; each worker decodes it with
+:meth:`~IndexSnapshot.from_bytes` and builds its engine with
+:meth:`~IndexSnapshot.restore`, without re-running tree construction.
+(Under ``fork`` the prepared engine travels copy-on-write instead.)
 
 The snapshot itself is frozen and treats its venue and tree as
 immutable — exactly the contract warm caches already rely on (distances
-depend only on geometry).  :meth:`engine` restores an
-:class:`~repro.core.queries.IFLSEngine` lazily and caches it, so any
-number of sessions opened through one snapshot share a single tree and
-kernel pack; the cached engine is dropped on pickling (workers restore
-their own).
+depend only on geometry).
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..errors import ParallelExecutionError
 from ..indoor.venue import IndoorVenue
@@ -32,7 +24,6 @@ from .viptree import VIPTree
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.queries import IFLSEngine
-    from ..core.session import QuerySession
 
 __all__ = ["IndexSnapshot"]
 
@@ -43,8 +34,8 @@ class IndexSnapshot:
 
     The snapshot carries the built tree (matrices included), so
     restoring is a cheap unpickle instead of an index construction.
-    One snapshot may back any number of sessions and worker processes;
-    nothing reachable from it is mutated after construction.
+    One snapshot may back any number of worker processes; nothing
+    reachable from it is mutated after construction.
     """
 
     venue: IndoorVenue
@@ -54,16 +45,11 @@ class IndexSnapshot:
     @classmethod
     def from_engine(cls, engine: "IFLSEngine") -> "IndexSnapshot":
         """Capture the engine's shared, immutable structures."""
-        snapshot = cls(
+        return cls(
             venue=engine.venue,
             tree=engine.tree,
             use_kernels=engine.use_kernels,
         )
-        # The source engine *is* a valid restoration — share it so
-        # sessions opened through the snapshot reuse its tree state
-        # (e.g. an already-built kernel pack) without a second engine.
-        object.__setattr__(snapshot, "_restored", engine)
-        return snapshot
 
     def restore(self) -> "IFLSEngine":
         """Rebuild a fresh engine around the snapshotted tree.
@@ -71,58 +57,13 @@ class IndexSnapshot:
         The parent's resolved ``use_kernels`` choice travels with the
         snapshot so spawn workers answer on the same code path (the
         tree's kernel pack itself is re-derived in the worker, not
-        shipped).  Always returns a *new* engine; use :meth:`engine`
-        for the shared cached one.
+        shipped).  Always returns a *new* engine.
         """
         from ..core.queries import IFLSEngine
 
         return IFLSEngine(
             self.venue, tree=self.tree, use_kernels=self.use_kernels
         )
-
-    def engine(self) -> "IFLSEngine":
-        """The shared read-only engine this snapshot backs.
-
-        Restored lazily on first use and cached; every caller in this
-        process gets the same instance, so session pools opened through
-        one snapshot share one tree, one kernel pack, and one venue
-        object.  The cache never crosses a pickle boundary.
-        """
-        cached = self.__dict__.get("_restored")
-        if cached is None:
-            cached = self.restore()
-            object.__setattr__(self, "_restored", cached)
-        return cached
-
-    def session(
-        self,
-        max_cache_entries: Optional[int] = None,
-        keep_records: bool = True,
-    ) -> "QuerySession":
-        """Open a warm session over the shared engine.
-
-        Each session owns its *own* distance engine and
-        ``DistanceStats`` ledger (see the session-pool checkin merge);
-        only the venue, tree, and kernel pack are shared.
-        """
-        from ..core.session import QuerySession
-
-        return QuerySession(
-            self.engine(),
-            max_cache_entries=max_cache_entries,
-            keep_records=keep_records,
-        )
-
-    # ------------------------------------------------------------------
-    # Pickling (spawn workers): drop the cached engine.
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state.pop("_restored", None)
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
 
     def to_bytes(self) -> bytes:
         """Pickle once with the highest protocol (sent per worker)."""

@@ -175,15 +175,9 @@ SPANS: Dict[str, SpanSpec] = _spans(
     ),
     SpanSpec(
         "service.batch.flush",
-        "once per coalesced batch flushed onto a pooled session "
+        "once per coalesced batch flushed onto the resident session "
         "(wraps the executor call answering the batch; tagged with "
         "the batch members' request ids)",
-    ),
-    SpanSpec(
-        "service.pool.checkout",
-        "once per session borrowed from the service pool (wraps the "
-        "checkout wait; tagged with the borrowing flush's request "
-        "ids)",
     ),
 )
 
@@ -325,14 +319,9 @@ METRICS: Dict[str, MetricSpec] = _metrics(
         "per-flush wall time answering one coalesced batch",
     ),
     MetricSpec(
-        "service.pool.sessions", "gauge", "sessions",
-        "live sessions of the service's pool after the most recent "
-        "checkout",
-    ),
-    MetricSpec(
         "service.pool.evictions", "counter", "sessions",
-        "idle sessions whose memos were dropped under the pool's "
-        "cache-byte budget",
+        "flushes after which the resident session's memos were "
+        "dropped for exceeding the cache-byte budget",
     ),
     MetricSpec(
         "flight.records", "counter", "spans",

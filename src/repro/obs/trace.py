@@ -325,8 +325,7 @@ def dedup_request_ids(ids: Iterable[str]) -> tuple:
     """Distinct non-empty request ids, first-seen order preserved.
 
     The span-attribute spelling shared by every layer that groups
-    several correlated queries (shards, pool checkouts, coalesced
-    flushes).
+    several correlated queries (shards, coalesced flushes).
     """
     seen: List[str] = []
     for request_id in ids:

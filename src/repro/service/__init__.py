@@ -1,16 +1,12 @@
 """Long-lived IFLS query service.
 
 Loads a venue + VIP-tree once and answers IFLS queries over HTTP/JSON
-from persistent warm sessions:
+from one resident warm session:
 
-* :mod:`repro.service.pool` — per-venue pools of warm
-  :class:`~repro.core.session.QuerySession` objects over one shared
-  :class:`~repro.index.snapshot.IndexSnapshot`, with per-session
-  distance ledgers merged on checkin and cache-budget eviction under
-  memory pressure;
-* :mod:`repro.service.batcher` — a request-coalescing queue that
-  micro-batches concurrent ``POST /batch`` traffic into one serial
-  ``QuerySession.run`` per flush, behind a configurable flush window;
+* :mod:`repro.service.batcher` — a request-coalescing queue whose one
+  flusher takes every pending request as soon as the previous flush
+  ends and answers it serially on the resident
+  :class:`~repro.core.session.QuerySession`;
 * :mod:`repro.service.protocol` — the HTTP/JSON wire layer over the
   shared :class:`~repro.core.request.QueryRequest` /
   :class:`~repro.core.request.QueryResponse` pair, including the
@@ -26,13 +22,10 @@ programmatically via :meth:`repro.api.Engine.serve`.
 """
 
 from .batcher import Coalescer
-from .pool import PoolStats, SessionPool
 from .server import IFLSService, ServiceConfig
 
 __all__ = [
     "Coalescer",
     "IFLSService",
-    "PoolStats",
     "ServiceConfig",
-    "SessionPool",
 ]

@@ -1,22 +1,24 @@
-"""Request coalescing: micro-batching concurrent queries into sessions.
+"""Request coalescing: one flusher in front of the service's session.
 
-Concurrent ``POST /batch`` clients each carry a handful of queries; the
-efficient way to answer them is *together*, through one warm
-``QuerySession.run(batch)`` call, so cache warmth amortises across
-requests that arrived within the same few milliseconds.
-:class:`Coalescer` implements that:
+Concurrent ``POST /query`` and ``POST /batch`` clients submit their
+queries to one :class:`Coalescer`:
 
 * :meth:`submit` parks each request with an ``asyncio`` future on a
   pending list;
-* the first arrival starts the flush clock (``flush_window`` seconds);
-  the window lets strangers coalesce, and a full batch
-  (``max_batch``) flushes immediately;
-* one flush takes the whole pending list, answers it in a worker
-  thread on a pooled session, and resolves every future with its own
+* one flusher takes the whole pending list as soon as the previous
+  flush ends, so requests that arrive during a flush share the next
+  one.  It answers the list in a worker thread on the service's
+  resident session and resolves every future with its own
   :class:`~repro.core.request.QueryResponse` or its own exception: a
   query whose solve fails never fails its co-batched strangers.  Only
   an error outside every solve (the runner itself raising) fails the
-  whole flush.
+  whole flush;
+* a request whose future is already done when its flush starts (its
+  caller timed out) is dropped rather than solved, and only the
+  futures a flush resolves count as answered.
+
+A flush starts without waiting for company: its queries are solved one
+after another, so they share no work and a wait would only delay them.
 
 ``drain()`` stops intake and flushes what is pending — the graceful-
 shutdown hook: in-flight batches complete, queued requests are
@@ -38,7 +40,7 @@ __all__ = ["Coalescer"]
 
 #: A runner answers an ordered request list and returns, in the same
 #: order, each request's response or the exception its solve raised
-#: (typically SessionPool-backed; runs in a thread).
+#: (the service's resident session answers; runs in a thread).
 BatchRunner = Callable[
     [List[QueryRequest]], List[Union[QueryResponse, Exception]]
 ]
@@ -51,13 +53,9 @@ class Coalescer:
     ----------
     runner:
         Synchronous callable answering one request list (executed via
-        ``loop.run_in_executor``, so it may block).
-    flush_window:
-        Seconds the first request of a batch waits for company.
-        ``0`` still yields once to the loop, coalescing only what is
-        already queued.
-    max_batch:
-        Flush immediately once this many requests are pending.
+        ``loop.run_in_executor``, so it may block).  It never runs
+        twice at once: the one flusher awaits each flush before it
+        takes the next.
     executor:
         The executor flushes run on.  The service passes a dedicated
         one: sharing the loop's *default* executor with application
@@ -66,24 +64,8 @@ class Coalescer:
         queue).  ``None`` uses the loop default.
     """
 
-    def __init__(
-        self,
-        runner: BatchRunner,
-        flush_window: float = 0.01,
-        max_batch: int = 64,
-        executor=None,
-    ) -> None:
-        if flush_window < 0:
-            raise ServiceError(
-                f"flush_window must be >= 0, got {flush_window}"
-            )
-        if max_batch < 1:
-            raise ServiceError(
-                f"max_batch must be >= 1, got {max_batch}"
-            )
+    def __init__(self, runner: BatchRunner, executor=None) -> None:
         self.runner = runner
-        self.flush_window = flush_window
-        self.max_batch = max_batch
         self.executor = executor
         self._pending: List[
             Tuple[QueryRequest, "asyncio.Future[QueryResponse]"]
@@ -91,7 +73,6 @@ class Coalescer:
         self._flusher: Optional["asyncio.Task[None]"] = None
         self._draining = False
         self._inflight_flushes = 0
-        self._flush_wakeup: Optional["asyncio.Event"] = None
         self.batches_flushed = 0
         self.queries_answered = 0
 
@@ -110,28 +91,14 @@ class Coalescer:
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[QueryResponse]" = loop.create_future()
         self._pending.append((request, future))
-        if self._flush_wakeup is None:
-            self._flush_wakeup = asyncio.Event()
-        if len(self._pending) >= self.max_batch:
-            self._flush_wakeup.set()
         if self._flusher is None or self._flusher.done():
-            self._flusher = loop.create_task(self._flush_soon())
+            self._flusher = loop.create_task(self._flush_pending())
         return await future
-
-    async def submit_many(
-        self, requests: List[QueryRequest]
-    ) -> List[QueryResponse]:
-        """Queue a client's whole batch; order of responses matches."""
-        return list(
-            await asyncio.gather(
-                *(self.submit(request) for request in requests)
-            )
-        )
 
     # ------------------------------------------------------------------
     # Flushing
     # ------------------------------------------------------------------
-    async def _flush_soon(self) -> None:
+    async def _flush_pending(self) -> None:
         """Flush batches until nothing is pending.
 
         Loops rather than flushing once: requests that arrive while a
@@ -139,22 +106,16 @@ class Coalescer:
         on this loop to pick them up afterwards.
         """
         while self._pending:
-            if self.flush_window > 0:
-                wakeup = self._flush_wakeup
-                try:
-                    assert wakeup is not None
-                    await asyncio.wait_for(
-                        wakeup.wait(), timeout=self.flush_window
-                    )
-                except asyncio.TimeoutError:
-                    pass
-                wakeup.clear()
-            else:
-                await asyncio.sleep(0)
             await self._flush_now()
 
     async def _flush_now(self) -> None:
-        batch = self._pending
+        # A future that is already done belongs to a caller that gave
+        # up (its timeout cancelled it): solving it would be wasted.
+        batch = [
+            (request, future)
+            for request, future in self._pending
+            if not future.done()
+        ]
         self._pending = []
         if not batch:
             return
@@ -187,13 +148,13 @@ class Coalescer:
             )
         self.batches_flushed += 1
         for (_request, future), outcome in zip(batch, outcomes):
+            if future.done():
+                continue
             if isinstance(outcome, Exception):
-                if not future.done():
-                    future.set_exception(outcome)
+                future.set_exception(outcome)
                 continue
             self.queries_answered += 1
-            if not future.done():
-                future.set_result(outcome)
+            future.set_result(outcome)
 
     # ------------------------------------------------------------------
     # Shutdown
@@ -202,8 +163,6 @@ class Coalescer:
         """Refuse new work, then flush and await everything pending."""
         self._draining = True
         if self._flusher is not None and not self._flusher.done():
-            if self._flush_wakeup is not None:
-                self._flush_wakeup.set()
             await self._flusher
         while self._pending:
             await self._flush_now()
@@ -215,3 +174,13 @@ class Coalescer:
     def pending(self) -> int:
         """Requests currently waiting for a flush."""
         return len(self._pending)
+
+    @property
+    def flushing(self) -> bool:
+        """Whether a flush is inside the executor.
+
+        The count behind it changes on the event loop, before each
+        dispatch and after each return, so a reader on the loop that
+        sees ``False`` knows no runner thread is running.
+        """
+        return self._inflight_flushes > 0

@@ -1,12 +1,10 @@
 """The asyncio HTTP server of the long-lived IFLS query service.
 
 One :class:`IFLSService` owns a venue opened through
-:func:`repro.open_venue`, a :class:`~repro.service.pool.SessionPool`
-of warm sessions over the engine's shared
-:class:`~repro.index.snapshot.IndexSnapshot`, and a
-:class:`~repro.service.batcher.Coalescer` that micro-batches
-concurrent traffic into serial ``QuerySession.run`` calls on one
-pooled session per flush.
+:func:`repro.open_venue`, one resident warm
+:class:`~repro.core.session.QuerySession` over the engine's tree, and
+a :class:`~repro.service.batcher.Coalescer` whose one flusher answers
+the queued requests on that session, one flush at a time.
 
 Endpoints
 ---------
@@ -20,9 +18,9 @@ Endpoints
     same order.
 ``GET /metrics``
     Live export of the observability contract: the service's
-    :class:`~repro.obs.metrics.MetricsRegistry` snapshot, the pool's
-    merged distance ledger (with invariant check), pool and batcher
-    statistics.
+    :class:`~repro.obs.metrics.MetricsRegistry` snapshot, the resident
+    session's distance ledger as of the last completed flush (with
+    invariant check), session and batcher statistics.
 ``GET /health``
     Liveness + identity (venue, backend, kernel path, uptime).
 ``GET /explain/<id>``
@@ -32,8 +30,8 @@ Endpoints
 ``POST /stream``
     Open a resident :class:`~repro.core.stream.ContinuousQuery` over a
     facility configuration; answers ``{"stream_id": ...}``.  The
-    stream keeps its own warm session off the pool's shared snapshot,
-    so distance memos survive across event batches.
+    stream keeps its own warm session over the engine's tree, so
+    distance memos survive across event batches.
 ``POST /stream/<id>/events``
     Apply an ordered :class:`~repro.core.stream.ClientEvent` array to
     a stream; answers the per-event incremental
@@ -47,8 +45,7 @@ Errors map to statuses in exactly one place
 (:func:`repro.service.protocol.error_body` over
 :func:`repro.errors.http_status_for`): malformed payloads → 400,
 timeouts → 504, everything unexpected → 500.  Shutdown is graceful by
-default: the listener closes first, in-flight batches drain, then the
-pool retires its sessions.
+default: the listener closes first, then in-flight batches drain.
 """
 
 from __future__ import annotations
@@ -65,6 +62,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from ..core.problem import check_query_inputs
 from ..core.request import QueryRequest, QueryResponse
 from ..core.session import check_batch
+from ..core.stats import distance_invariant_violations
 from ..core.stream import STREAM_FORMAT, ContinuousQuery
 from ..errors import (
     ProtocolError,
@@ -83,7 +81,6 @@ from ..obs.prometheus import (
     render_prometheus,
 )
 from .batcher import Coalescer
-from .pool import SessionPool
 from .protocol import (
     HttpRequest,
     PlainTextBody,
@@ -103,6 +100,10 @@ __all__ = ["IFLSService", "ServiceConfig", "run_service"]
 #: How long the server waits for a complete request head + body.
 READ_TIMEOUT_SECONDS = 10.0
 
+#: Threads of the flush executor: the coalescer's one flush at a time,
+#: plus one stream event batch beside it.
+FLUSH_THREADS = 2
+
 
 @dataclass
 class ServiceConfig:
@@ -110,11 +111,8 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 8337
-    pool_size: int = 2
     max_cache_entries: Optional[int] = None
     cache_bytes_budget: Optional[int] = None
-    flush_window: float = 0.01
-    max_batch: int = 64
     request_timeout: Optional[float] = 30.0
     explain_capacity: int = 128
     stream_capacity: int = 32
@@ -169,24 +167,25 @@ class IFLSService:
             if self.config.log_stream is not None
             else None
         )
-        self.pool = SessionPool(
-            engine.snapshot(),
-            size=self.config.pool_size,
+        self.session = engine.session(
             max_cache_entries=self.config.max_cache_entries,
-            cache_bytes_budget=self.config.cache_bytes_budget,
+            keep_records=False,
         )
+        # The session's distance ledger as of the last completed
+        # flush; only the flush thread writes it (see _run_batch).
+        self._ledger: Dict[str, int] = (
+            self.session.distances.stats.snapshot()
+        )
+        self.evictions = 0
         # Flushes get their own executor: on the loop's shared default
         # executor, blocked application threads could starve the very
         # flush that would unblock them.
         self._flush_executor = ThreadPoolExecutor(
-            max_workers=self.config.pool_size,
+            max_workers=FLUSH_THREADS,
             thread_name_prefix="ifls-flush",
         )
         self.coalescer = Coalescer(
-            self._run_batch,
-            flush_window=self.config.flush_window,
-            max_batch=self.config.max_batch,
-            executor=self._flush_executor,
+            self._run_batch, executor=self._flush_executor
         )
         self._explain_store: "OrderedDict[str, Dict[str, Any]]" = (
             OrderedDict()
@@ -252,10 +251,9 @@ class IFLSService:
     async def shutdown(self, drain: bool = True) -> None:
         """Stop accepting connections; by default drain in-flight work.
 
-        Draining closes the listener first, lets every accepted request
-        finish (flushing whatever the coalescer holds), then retires
-        the pool.  ``drain=False`` abandons queued work (their futures
-        fail with :class:`~repro.errors.ServiceError`).
+        Draining closes the listener first, then lets every accepted
+        request finish (flushing whatever the coalescer holds).
+        ``drain=False`` abandons queued work.
         """
         self._draining = True
         if self._server is not None:
@@ -266,7 +264,6 @@ class IFLSService:
             await self.coalescer.drain()
             while self._inflight:
                 await asyncio.sleep(0.005)
-        self.pool.close()
         self._streams.clear()
         self._flush_executor.shutdown(wait=drain)
         if self._owns_flight:
@@ -306,9 +303,9 @@ class IFLSService:
 
         Every request — error responses included — gets a monotonic
         correlation id (``r…``) minted here; the id tags the
-        ``service.request`` span, travels into the coalescer and the
-        pool through the request payloads, and names the structured
-        log line.  A 5xx answer dumps the flight recorder's tail.
+        ``service.request`` span, travels into the coalescer's flush
+        through the request payloads, and names the structured log
+        line.  A 5xx answer dumps the flight recorder's tail.
         """
         started = time.perf_counter()
         method, path = "?", "?"
@@ -610,34 +607,41 @@ class IFLSService:
     def _run_batch(
         self, requests: List[QueryRequest]
     ) -> List[Union[QueryResponse, Exception]]:
-        """One coalesced flush: answer everything on a pooled session.
+        """One coalesced flush: answer everything on the resident
+        session.
 
-        Runs in a worker thread (the coalescer's executor call).  Each
+        Runs in a flush-executor thread, and never twice at once (the
+        coalescer has one flusher), so the session's memo tables and
+        ``DistanceStats`` see single-threaded writes only.  Each
         request is answered in its own ``try``, so its outcome is its
         response or the exception its solve raised, never a
-        stranger's.  The borrowed session is exclusively ours until
-        checkin, so its ``DistanceStats`` ledger sees single-threaded
-        increments only; the pool folds the delta into its merged
-        ledger afterwards.
+        stranger's.  After the answers, the cache-byte budget is
+        applied and the ledger ``/metrics`` reports is snapshotted, so
+        a reader never sees a flush's counters half-updated.
         """
+        session = self.session
         outcomes: List[Union[QueryResponse, Exception]] = []
-        request_ids = _trace.dedup_request_ids(
-            request.request_id for request in requests
-        )
-        with self.pool.session(request_ids=request_ids) as session:
-            for index, request in enumerate(requests):
-                try:
-                    if request.explain:
-                        outcome = self._run_explained(
-                            session, request, index
-                        )
-                    else:
-                        outcome = QueryResponse.from_result(
-                            session.run([request])[0], request, index=index
-                        )
-                except Exception as exc:  # noqa: BLE001 - per request
-                    outcome = exc
-                outcomes.append(outcome)
+        for index, request in enumerate(requests):
+            try:
+                if request.explain:
+                    outcome = self._run_explained(
+                        session, request, index
+                    )
+                else:
+                    outcome = QueryResponse.from_result(
+                        session.run([request])[0], request, index=index
+                    )
+            except Exception as exc:  # noqa: BLE001 - per request
+                outcome = exc
+            outcomes.append(outcome)
+        budget = self.config.cache_bytes_budget
+        # cache_bytes() walks every memo entry (tens of ms on a warm
+        # venue), so it is paid only when a budget asks for it.
+        if budget is not None and session.distances.cache_bytes() > budget:
+            session.invalidate()
+            self.evictions += 1
+            _metrics.add("service.pool.evictions")
+        self._ledger = session.distances.stats.snapshot()
         return outcomes
 
     def _run_explained(
@@ -669,10 +673,10 @@ class IFLSService:
     async def _open_stream(self, payload: Any) -> Tuple[int, Any]:
         """``POST /stream``: open one resident continuous query.
 
-        Each stream gets its own warm session off the pool's shared
-        snapshot (venue + tree shared read-only, private distance
-        memos), so cross-event cache hits survive between batches
-        without contending with the pooled interactive sessions.
+        Each stream gets its own warm session over the engine's tree
+        (venue + tree shared read-only, private distance memos), so
+        cross-event cache hits survive between batches without
+        touching the resident session the flushes answer on.
         """
         facilities, incremental, label = parse_stream_open_payload(
             payload
@@ -682,7 +686,7 @@ class IFLSService:
                 f"stream capacity {self.config.stream_capacity} "
                 "exhausted; DELETE an open stream first"
             )
-        session = self.pool.snapshot.session(
+        session = self.engine.session(
             max_cache_entries=self.config.max_cache_entries,
             keep_records=False,
         )
@@ -783,15 +787,34 @@ class IFLSService:
     # ------------------------------------------------------------------
     # Introspection payloads
     # ------------------------------------------------------------------
+    def _session_payload(self) -> Dict[str, Any]:
+        """Gauges of the resident session (the ``pool`` block).
+
+        ``cache_bytes`` iterates every memo table, which raises if a
+        flush grows one meanwhile, so it is read only while no flush
+        holds the session and reads 0 otherwise: it counts an idle
+        session's bytes.  Call on the service's event loop, where the
+        coalescer's in-flight count changes.
+        """
+        busy = self.coalescer.flushing
+        return {
+            "sessions": 1,
+            "idle": 0 if busy else 1,
+            "checked_out": 1 if busy else 0,
+            "cache_bytes": (
+                0 if busy else self.session.distances.cache_bytes()
+            ),
+            "evictions": self.evictions,
+        }
+
     def health_payload(self) -> Dict[str, Any]:
         """The ``GET /health`` body: liveness plus gauge snapshots of
-        the pool, the resident streams, and the flight recorder."""
+        the resident session, the streams, and the flight recorder."""
         uptime = (
             time.monotonic() - self._started_monotonic
             if self._started_monotonic is not None
             else 0.0
         )
-        pool_stats = self.pool.stats()
         return {
             "status": "draining" if self._draining else "ok",
             "venue": self.engine.venue.name,
@@ -799,12 +822,7 @@ class IFLSService:
             "use_kernels": self.engine.use_kernels,
             "uptime_seconds": uptime,
             "queries_answered": self.coalescer.queries_answered,
-            "pool": {
-                "sessions": pool_stats.created,
-                "idle": pool_stats.idle,
-                "checked_out": pool_stats.checked_out,
-                "cache_bytes": pool_stats.cache_bytes,
-            },
+            "pool": self._session_payload(),
             "streams": {
                 "open": len(self._streams),
                 "capacity": self.config.stream_capacity,
@@ -819,12 +837,12 @@ class IFLSService:
 
     def metrics_payload(self) -> Dict[str, Any]:
         """The ``GET /metrics`` body: the live obs-contract export."""
-        ledger = self.pool.ledger()
+        ledger = dict(self._ledger)
         return {
             "metrics": self.metrics.snapshot(),
             "ledger": ledger,
-            "ledger_violations": self.pool.ledger_violations(),
-            "pool": asdict(self.pool.stats()),
+            "ledger_violations": distance_invariant_violations(ledger),
+            "pool": self._session_payload(),
             "batcher": {
                 "batches_flushed": self.coalescer.batches_flushed,
                 "queries_answered": self.coalescer.queries_answered,
@@ -867,7 +885,6 @@ def run_service(
             address=service.address,
             venue=service.engine.venue.name,
             backend=service.engine.backend,
-            pool=service.config.pool_size,
             listening=f"listening on {service.address}",
         )
         loop = asyncio.get_running_loop()

@@ -9,7 +9,7 @@ from repro.core.mindist import efficient_mindist
 from repro import IFLSEngine, FacilitySets, Client
 from repro.datasets import small_office
 from tests.conftest import facility_split, make_clients
-from tests.core.test_equivalence_property import scenarios
+from tests.core.test_equivalence_property import _venue, scenarios
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +62,18 @@ class TestBehaviour:
         result = efficient_mindist(engine.problem(clients, fs))
         assert result.answer == rooms[2]
         assert result.objective == pytest.approx(0.0)
+
+    def test_candidate_tying_existing_total_is_no_improvement(self):
+        """Candidate 2 matches, never beats, each client's existing
+        distance; the existing total must win the tie exactly."""
+        venue, engine = _venue(2, 8, 2)
+        clients = make_clients(venue, 11, seed=831)
+        fs = FacilitySets(frozenset({3, 4, 5, 11}), frozenset({2}))
+        got = efficient_mindist(engine.problem(clients, fs))
+        want = brute_force_mindist(engine.problem(clients, fs))
+        assert want.status is ResultStatus.NO_IMPROVEMENT
+        assert got.status is ResultStatus.NO_IMPROVEMENT
+        assert got.objective == want.objective
 
     def test_settled_clients_counted_as_pruned(self, office):
         venue, engine, rooms = office

@@ -14,7 +14,7 @@ import pytest
 from repro import QueryRequest, open_venue
 from repro.core.stream import ClientEvent, synthetic_events
 from tests.conftest import facility_split, make_clients
-from tests.service.test_server import ServiceHarness
+from tests.service.test_server import FlushGate, ServiceHarness
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +36,7 @@ def good(office_venue, rooms):
 
 @pytest.fixture(scope="module")
 def harness(office_venue):
-    h = ServiceHarness(
-        open_venue(office_venue), flush_window=0.02, pool_size=1
-    )
+    h = ServiceHarness(open_venue(office_venue))
     yield h
     h.close()
 
@@ -107,20 +105,36 @@ CO_BATCHED_BAD = {
 
 
 def test_bad_query_does_not_fail_a_co_batched_stranger(harness, good):
-    for case, make_bad in CO_BATCHED_BAD.items():
-        bad = make_bad(good)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda body: harness.request("POST", "/query", body),
-                    [good, bad, good, bad],
-                )
-            )
-        statuses = [status for status, _ in outcomes]
-        assert statuses == [200, 400, 200, 400], case
-        assert outcomes[0][1]["objective_value"] == (
-            outcomes[2][1]["objective_value"]
-        ), case
+    def post(body):
+        return harness.request("POST", "/query", body)
+
+    # Hold a first flush so both good queries queue behind it and
+    # share the next one.
+    gate = FlushGate(harness.service)
+    try:
+        for case, make_bad in CO_BATCHED_BAD.items():
+            bad = make_bad(good)
+            with ThreadPoolExecutor(max_workers=5) as pool:
+                first = pool.submit(post, good)
+                gate.wait_entered()
+                futures = [
+                    pool.submit(post, body)
+                    for body in (good, bad, good, bad)
+                ]
+                gate.wait_pending(2)
+                gate.release()
+                gate.wait_entered()
+                gate.release()
+                assert first.result(timeout=60.0)[0] == 200, case
+                outcomes = [f.result(timeout=60.0) for f in futures]
+            assert len(gate.batches[-1]) == 2, case
+            statuses = [status for status, _ in outcomes]
+            assert statuses == [200, 400, 200, 400], case
+            assert outcomes[0][1]["objective_value"] == (
+                outcomes[2][1]["objective_value"]
+            ), case
+    finally:
+        gate.remove()
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,9 @@ clients cannot starve them).
 import asyncio
 import http.client
 import json
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -26,7 +28,7 @@ from repro import (
     VenueBuilder,
     open_venue,
 )
-from repro.service import IFLSService
+from repro.service import Coalescer, IFLSService
 from tests.conftest import facility_split, make_clients
 
 
@@ -69,6 +71,50 @@ class ServiceHarness:
         self.loop.close()
 
 
+class FlushGate:
+    """Holds each coalesced flush before it solves, until released.
+
+    Requests that arrive while a flush is held queue in the coalescer
+    and share the next flush, as they do behind a long solve.
+    ``batches`` lists each flush's request labels in order.
+    """
+
+    def __init__(self, service, timeout=30.0):
+        self.coalescer = service.coalescer
+        self.timeout = timeout
+        self.batches = []
+        self._entered = threading.Semaphore(0)
+        self._go = threading.Semaphore(0)
+        self._runner = runner = self.coalescer.runner
+
+        def held(requests):
+            self.batches.append([r.label for r in requests])
+            self._entered.release()
+            self._go.acquire(timeout=self.timeout)
+            return runner(requests)
+
+        self.coalescer.runner = held
+
+    def wait_entered(self):
+        """Block until the next flush reaches the runner."""
+        assert self._entered.acquire(timeout=self.timeout)
+
+    def wait_pending(self, count):
+        """Block until ``count`` requests queue behind the held flush."""
+        deadline = time.monotonic() + self.timeout
+        while self.coalescer.pending < count:
+            assert time.monotonic() < deadline, "requests never queued"
+            time.sleep(0.002)
+
+    def release(self):
+        """Let one held flush solve."""
+        self._go.release()
+
+    def remove(self):
+        """Put the service's own runner back."""
+        self.coalescer.runner = self._runner
+
+
 @pytest.fixture(scope="module")
 def rooms(office_venue):
     return sorted(
@@ -108,9 +154,7 @@ def oracle(office_venue, workload):
 
 @pytest.fixture(scope="module")
 def harness(office_venue):
-    h = ServiceHarness(
-        open_venue(office_venue), flush_window=0.005, pool_size=2
-    )
+    h = ServiceHarness(open_venue(office_venue))
     yield h
     h.close()
 
@@ -256,9 +300,98 @@ class TestIntrospection:
         assert "service.requests" in metrics["counters"]
         assert "service.request.seconds" in metrics["histograms"]
         assert "service.batch.size" in metrics["histograms"]
-        assert "service.pool.sessions" in metrics["gauges"]
         assert body["batcher"]["queries_answered"] >= 1
-        assert body["pool"]["created"] >= 1
+        assert body["pool"]["sessions"] == 1
+
+    def test_health_and_metrics_answer_while_a_flush_is_held(
+        self, office_venue, workload
+    ):
+        """Reads during a flush leave the busy session alone: /metrics
+        reports the ledger of the last completed flush, /health the
+        session as checked out with no cache bytes counted."""
+        harness = ServiceHarness(open_venue(office_venue))
+        try:
+            status, _ = harness.request(
+                "POST", "/query", workload[0].to_payload()
+            )
+            assert status == 200
+            _, before = harness.request("GET", "/metrics")
+            gate = FlushGate(harness.service)
+            with ThreadPoolExecutor(max_workers=1) as clients:
+                held = clients.submit(
+                    harness.request,
+                    "POST",
+                    "/query",
+                    workload[1].to_payload(),
+                )
+                gate.wait_entered()
+                health_status, health = harness.request("GET", "/health")
+                status, metrics = harness.request("GET", "/metrics")
+                gate.release()
+                assert held.result(timeout=60.0)[0] == 200
+        finally:
+            harness.close()
+        assert (health_status, status) == (200, 200)
+        assert health["pool"] == {
+            "sessions": 1,
+            "idle": 0,
+            "checked_out": 1,
+            "cache_bytes": 0,
+            "evictions": 0,
+        }
+        assert metrics["ledger_violations"] == []
+        assert metrics["ledger"] == before["ledger"]
+        assert before["pool"]["cache_bytes"] > 0
+
+    def test_reads_race_flushes_without_errors(
+        self, office_venue, workload
+    ):
+        """/health and /metrics polled while concurrent queries flush:
+        every read answers 200 with a clean ledger, and the final
+        ledger telescopes to the responses."""
+        harness = ServiceHarness(open_venue(office_venue))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            done = threading.Event()
+            reads = []
+
+            def poll():
+                while not done.is_set():
+                    for path in ("/health", "/metrics"):
+                        reads.append(harness.request("GET", path))
+
+            def post(request):
+                return harness.request(
+                    "POST", "/query", request.to_payload()
+                )
+
+            pollers = [threading.Thread(target=poll) for _ in range(2)]
+            for thread in pollers:
+                thread.start()
+            try:
+                with ThreadPoolExecutor(max_workers=8) as clients:
+                    outcomes = list(clients.map(post, workload * 2))
+            finally:
+                done.set()
+                for thread in pollers:
+                    thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in pollers)
+            _, final = harness.request("GET", "/metrics")
+        finally:
+            sys.setswitchinterval(interval)
+            harness.close()
+        assert all(status == 200 for status, _ in outcomes)
+        assert reads and all(status == 200 for status, _ in reads)
+        for _status, body in reads:
+            assert body.get("ledger_violations", []) == []
+        summed = {}
+        for _status, payload in outcomes:
+            for key, value in payload["distance_delta"].items():
+                summed[key] = summed.get(key, 0) + value
+        assert {k: v for k, v in final["ledger"].items() if v} == {
+            k: v for k, v in summed.items() if v
+        }
 
 
 class TestRouting:
@@ -300,11 +433,7 @@ class TestFlushIsolation:
             clients=clients,
             facilities=FacilitySets(frozenset({b1}), frozenset({b2})),
         )
-        # A full batch of three flushes at once; the window only has
-        # to outlast the three concurrent arrivals.
-        harness = ServiceHarness(
-            open_venue(venue), flush_window=0.5, max_batch=3, pool_size=1
-        )
+        harness = ServiceHarness(open_venue(venue))
         try:
             def post(request):
                 return harness.request(
@@ -314,9 +443,24 @@ class TestFlushIsolation:
             alone_status, alone = post(good)
             assert alone_status == 200
             assert alone["objective_value"] == 2.5
-            flushed = harness.service.coalescer.batches_flushed
-            with ThreadPoolExecutor(max_workers=3) as pool:
-                outcomes = list(pool.map(post, [good, unreachable, good]))
+            # Hold a first flush so the three queue behind it and share
+            # the next one; read the count once that flush is in.
+            gate = FlushGate(harness.service)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                first = pool.submit(post, good)
+                gate.wait_entered()
+                trio = [
+                    pool.submit(post, request)
+                    for request in (good, unreachable, good)
+                ]
+                gate.wait_pending(3)
+                gate.release()
+                gate.wait_entered()
+                flushed = harness.service.coalescer.batches_flushed
+                gate.release()
+                assert first.result(timeout=60.0)[0] == 200
+                outcomes = [f.result(timeout=60.0) for f in trio]
+            assert len(gate.batches[-1]) == 3
             assert [status for status, _ in outcomes] == [200, 400, 200]
             assert harness.service.coalescer.batches_flushed == flushed + 1
             assert outcomes[1][1]["error"] == "UnreachableFacilityError"
@@ -327,17 +471,93 @@ class TestFlushIsolation:
             harness.close()
 
 
+class TestQueuedTimeout:
+    def test_request_timed_out_in_queue_is_not_solved(self, workload):
+        """A request whose caller timed out while it queued behind a
+        flush is dropped from the next flush and never counted."""
+        solved = []
+        entered = threading.Event()
+        release = threading.Event()
+
+        def runner(requests):
+            solved.append([r.label for r in requests])
+            entered.set()
+            release.wait(timeout=30.0)
+            return [r.label for r in requests]
+
+        async def scenario(coalescer):
+            first = asyncio.ensure_future(coalescer.submit(workload[0]))
+            assert await asyncio.to_thread(entered.wait, 30.0)
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(
+                    coalescer.submit(workload[1]), 0.01
+                )
+            release.set()
+            assert await first == workload[0].label
+            await coalescer.drain()
+
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            coalescer = Coalescer(runner, executor=executor)
+            asyncio.run(scenario(coalescer))
+        assert solved == [[workload[0].label]]
+        assert coalescer.queries_answered == 1
+        assert coalescer.batches_flushed == 1
+
+
+class TestPressureEviction:
+    def test_idle_caches_dropped_under_byte_budget(
+        self, office_venue, workload
+    ):
+        """A flush that leaves the resident session over the byte
+        budget drops its memos; the ledger keeps every count."""
+        harness = ServiceHarness(
+            open_venue(office_venue), cache_bytes_budget=1
+        )
+        try:
+            status, payload = harness.request(
+                "POST", "/query", workload[1].to_payload()
+            )
+            assert status == 200
+            assert payload["distance_delta"]["distance_computations"] > 0
+            _, health = harness.request("GET", "/health")
+            _, metrics = harness.request("GET", "/metrics")
+        finally:
+            harness.close()
+        assert health["pool"]["evictions"] == 1
+        counters = metrics["metrics"]["counters"]
+        assert counters["service.pool.evictions"]["value"] == 1
+        # The memos are gone; only empty-table overhead remains.
+        assert harness.service.session.cache_entries == 0
+        assert metrics["ledger"]["distance_computations"] > 0
+        assert metrics["ledger_violations"] == []
+
+    def test_no_budget_means_no_eviction(self, office_venue, workload):
+        harness = ServiceHarness(open_venue(office_venue))
+        try:
+            status, _ = harness.request(
+                "POST", "/query", workload[2].to_payload()
+            )
+            assert status == 200
+            _, health = harness.request("GET", "/health")
+            _, metrics = harness.request("GET", "/metrics")
+        finally:
+            harness.close()
+        assert health["pool"]["evictions"] == 0
+        assert health["pool"]["cache_bytes"] > 0
+        assert "service.pool.evictions" not in (
+            metrics["metrics"]["counters"]
+        )
+        assert harness.service.session.cache_entries > 0
+
+
 class TestGracefulShutdown:
     def test_shutdown_drains_inflight_requests(
         self, office_venue, workload, oracle
     ):
         """Queries accepted before shutdown still get correct answers;
-        the pool ledger survives the drain clean."""
-        harness = ServiceHarness(
-            open_venue(office_venue),
-            flush_window=0.5,  # wide window: requests queue up
-            pool_size=1,
-        )
+        the ledger survives the drain clean."""
+        harness = ServiceHarness(open_venue(office_venue))
+        gate = FlushGate(harness.service)
         try:
             def post(request):
                 return harness.request(
@@ -345,20 +565,29 @@ class TestGracefulShutdown:
                 )
 
             with ThreadPoolExecutor(max_workers=6) as clients:
-                futures = [
-                    clients.submit(post, r) for r in workload[:6]
-                ]
-                # Let the requests reach the coalescer's window, then
+                futures = [clients.submit(post, workload[0])]
+                # Hold the first flush so the other five queue, then
                 # drain while they are still pending.
-                import time
-
-                time.sleep(0.15)
-                harness.call(harness.service.shutdown())
+                gate.wait_entered()
+                futures += [
+                    clients.submit(post, r) for r in workload[1:6]
+                ]
+                gate.wait_pending(5)
+                shutdown = asyncio.run_coroutine_threadsafe(
+                    harness.service.shutdown(), harness.loop
+                )
+                gate.release()
+                gate.wait_entered()
+                gate.release()
+                shutdown.result(timeout=60.0)
                 outcomes = [f.result(timeout=60.0) for f in futures]
             for (status, payload), want in zip(outcomes, oracle):
                 assert status == 200
                 assert payload["answer"] == want.answer
-            assert harness.service.pool.ledger_violations() == []
+            assert (
+                harness.service.metrics_payload()["ledger_violations"]
+                == []
+            )
             assert (
                 harness.service.coalescer.queries_answered == 6
             )

@@ -39,7 +39,7 @@ def events(venue):
 
 @pytest.fixture()
 def harness(venue):
-    h = ServiceHarness(open_venue(venue), flush_window=0.005)
+    h = ServiceHarness(open_venue(venue))
     yield h
     h.close()
 
@@ -87,6 +87,20 @@ class TestStreamLifecycle:
         status, _ = harness.request("DELETE", f"/stream/{sid}")
         assert status == 404
 
+    def test_sessions_have_distinct_stats_objects(self, harness, fs):
+        """Stream batches run beside flushes on the flush executor, so
+        each stream answers on a session of its own, never on the
+        resident one."""
+        first = open_stream(harness, fs)["stream_id"]
+        second = open_stream(harness, fs)["stream_id"]
+        sessions = [
+            harness.service._streams[sid].query.session
+            for sid in (first, second)
+        ] + [harness.service.session]
+        stats = [session.distances.stats for session in sessions]
+        assert len({id(s) for s in sessions}) == 3
+        assert len({id(s) for s in stats}) == 3
+
     def test_bare_array_body_accepted(self, harness, fs, events):
         sid = open_stream(harness, fs)["stream_id"]
         status, body = harness.request(
@@ -124,9 +138,7 @@ class TestStreamLifecycle:
         assert "12345" in body["detail"]
 
     def test_capacity_limit_400(self, venue, fs):
-        harness = ServiceHarness(
-            open_venue(venue), flush_window=0.005, stream_capacity=2
-        )
+        harness = ServiceHarness(open_venue(venue), stream_capacity=2)
         try:
             open_stream(harness, fs)
             open_stream(harness, fs)

@@ -3,9 +3,9 @@ flight recorder under live traffic, structured logs, and Prometheus
 exposition over HTTP.
 
 The central invariant: one HTTP request = one ``r…`` request id, and
-that same id must appear on the server span, the pool checkout, the
-coalesced flush that carried the queries, every response payload, and
-the structured log line — with zero trust between the layers (each
+that same id must appear on the server span, the coalesced flush that
+carried the queries, every response payload, and the structured log
+line — with zero trust between the layers (each
 records the id independently).
 """
 
@@ -54,10 +54,7 @@ def workload(office_venue, rooms):
 @pytest.fixture()
 def harness(office_venue):
     h = ServiceHarness(
-        open_venue(office_venue),
-        flush_window=0.005,
-        pool_size=2,
-        log_stream=io.StringIO(),
+        open_venue(office_venue), log_stream=io.StringIO()
     )
     yield h
     h.close()
@@ -93,8 +90,8 @@ class TestCorrelation:
     def test_one_request_id_spans_every_layer(
         self, harness, workload
     ):
-        """POST /batch: the minted id reaches the server span, the pool
-        checkout, the flush, all response payloads, and the log."""
+        """POST /batch: the minted id reaches the server span, the
+        flush, all response payloads, and the log."""
         status, body = harness.request(
             "POST",
             "/batch",
@@ -118,13 +115,6 @@ class TestCorrelation:
         ]
         assert len(server_spans) == 1
         assert server_spans[0].attrs["path"] == "/batch"
-
-        checkouts = [
-            r
-            for r in by_name.get("service.pool.checkout", [])
-            if rid in r.attrs.get("request_ids", [])
-        ]
-        assert checkouts, "no pool checkout tagged with the rid"
 
         flushes = [
             r
@@ -358,8 +348,6 @@ class TestFlightConcurrency:
         flight.* counters stay exact."""
         harness = ServiceHarness(
             open_venue(office_venue),
-            flush_window=0.002,
-            pool_size=2,
             flight_capacity=8,
             log_stream=io.StringIO(),
         )

@@ -149,9 +149,8 @@ class TestScopes:
     def test_snapshot_sessions_are_independent(
         self, facade, office_venue, rooms
     ):
-        snapshot = facade.snapshot()
-        first = snapshot.session()
-        second = snapshot.session()
+        first = facade.session()
+        second = facade.session()
         assert first.distances is not second.distances
         request = _request(office_venue, rooms, seed=30)
         a = first.query(request.clients, request.facilities)
@@ -160,15 +159,10 @@ class TestScopes:
         assert second.report().totals == first.report().totals
 
     def test_pool_and_serve_builders(self, facade):
-        pool = facade.pool(size=1)
-        try:
-            with pool.session() as session:
-                assert session.queries_answered == 0
-        finally:
-            pool.close()
-        service = facade.serve(port=0, pool_size=1)
-        assert service.config.pool_size == 1
+        service = facade.serve(port=0)
         assert service.engine is facade
+        assert service.session.queries_answered == 0
+        assert service.session.engine is facade.core
 
 
 class TestHelpers:

@@ -21,12 +21,17 @@ class TestParser:
         assert args.experiment == "all"
 
     def test_serve_has_no_workers_option(self, capsys):
-        """A flush answers serially on its pooled session; forking a
-        process pool per flush lost to it on every measure."""
+        """A flush answers serially on the one resident session: a
+        process pool per flush lost to it on every measure, a second
+        pooled session was never lent, and a flush window only
+        delayed."""
         args = build_parser().parse_args(["serve", "CPH"])
-        assert not hasattr(args, "workers")
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "CPH", "--workers", "2"])
+        for flag in (
+            "--workers", "--pool-size", "--flush-window", "--max-batch"
+        ):
+            assert not hasattr(args, flag[2:].replace("-", "_"))
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", "CPH", flag, "2"])
 
     def test_query_batch_defaults(self):
         args = build_parser().parse_args(["query", "CPH"])

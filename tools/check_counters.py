@@ -27,10 +27,10 @@ asserts the structural invariants of :class:`QueryStats` /
 * a sharded parallel run returns the serial answers, and its merged
   per-worker totals both satisfy the ledger identities and equal the
   sum of the merged per-query records;
-* the service :class:`SessionPool`'s merged ledger (per-session
-  deltas folded in at checkin) satisfies the same identities, equals
-  the sum of the per-query deltas, and pooled answers are identical
-  to the cold oracle;
+* the query service's ledger (its resident session's counters,
+  snapshotted at the end of each flush) satisfies the same
+  identities, equals the sum of the per-response deltas, and the
+  service's answers are identical to the cold oracle;
 * EXPLAIN attribution: for every objective (and the baseline), the
   per-phase *own* counter deltas of ``engine.explain(...)`` sum
   exactly to the query's top-level :class:`DistanceStats` ledger;
@@ -70,6 +70,7 @@ Usage::
 
 from __future__ import annotations
 
+import asyncio
 import random
 import sys
 from pathlib import Path
@@ -341,33 +342,37 @@ def run_checks() -> List[str]:
                 f"the query ledger ({attributed} != {ledger})"
             )
 
-    # Service session pool: the merged pool ledger must satisfy the
-    # same identities as a single engine's, equal the sum of the
-    # per-response deltas, and answer exactly like the cold engine.
+    # Query service: six requests through the coalescer's flush path.
+    # The ledger /metrics reports must satisfy the same identities as
+    # a single engine's, equal the sum of the per-response deltas, and
+    # the answers must equal the cold engine's.
     from repro.api import Engine
-    from repro.service.pool import SessionPool
+    from repro.service import IFLSService
 
-    facade = Engine(engine)
     requests = []
     for i in range(6):
-        pool_rng = random.Random(0x9D0 + i)
+        service_rng = random.Random(0x9D0 + i)
         requests.append(
             QueryRequest(
-                clients=tuple(uniform_clients(venue, 25, pool_rng)),
-                facilities=random_facility_sets(venue, 3, 6, pool_rng),
+                clients=tuple(uniform_clients(venue, 25, service_rng)),
+                facilities=random_facility_sets(
+                    venue, 3, 6, service_rng
+                ),
                 objective=OBJECTIVES[i % len(OBJECTIVES)],
             )
         )
-    pool = SessionPool(facade.snapshot(), size=2)
+    service = IFLSService(Engine(engine))
+
+    async def answer_all():
+        try:
+            return [await service.coalescer.submit(r) for r in requests]
+        finally:
+            await service.shutdown()
+
+    responses = asyncio.run(answer_all())
     summed = {}
-    for i, request in enumerate(requests):
-        with pool.session() as session:
-            result = session.query(
-                request.clients,
-                request.facilities,
-                objective=request.objective,
-            )
-        for key, value in result.stats.distance.snapshot().items():
+    for i, (request, response) in enumerate(zip(requests, responses)):
+        for key, value in response.distance_delta.items():
             summed[key] = summed.get(key, 0) + value
         oracle = engine.query(
             request.clients,
@@ -375,24 +380,25 @@ def run_checks() -> List[str]:
             objective=request.objective,
             cold=True,
         )
-        if (result.answer, result.objective) != (
+        if (response.answer, response.objective_value) != (
             oracle.answer, oracle.objective
         ):
             violations.append(
-                f"pool/q{i}: pooled answer differs from the cold "
-                f"oracle (({result.answer}, {result.objective}) != "
+                f"service/q{i}: served answer differs from the cold "
+                f"oracle (({response.answer}, "
+                f"{response.objective_value}) != "
                 f"({oracle.answer}, {oracle.objective}))"
             )
-    for message in pool.ledger_violations():
-        violations.append(f"pool/ledger: {message}")
-    ledger = {k: v for k, v in pool.ledger().items() if v}
+    payload = service.metrics_payload()
+    for message in payload["ledger_violations"]:
+        violations.append(f"service/ledger: {message}")
+    ledger = {k: v for k, v in payload["ledger"].items() if v}
     summed = {k: v for k, v in summed.items() if v}
     if summed != ledger:
         violations.append(
-            "pool: per-response deltas do not sum to the merged "
-            f"pool ledger ({summed} != {ledger})"
+            "service: per-response deltas do not sum to the ledger "
+            f"({summed} != {ledger})"
         )
-    pool.close()
 
     # Kernel-vs-scalar ledger equality (skipped when numpy is absent).
     from repro.index import kernels

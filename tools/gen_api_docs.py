@@ -22,6 +22,50 @@ OUT = Path(__file__).resolve().parents[1] / "docs" / "API.md"
 # Hand-maintained prose sections are authored HERE (the output file
 # is generated; edits to docs/API.md are overwritten).
 MIGRATION = """\
+## Migrating to 7.0
+
+7.0 serves every query on one resident warm session.  The coalescer's
+one flusher never ran two flushes at once, so the session pool never
+lent a second session; and a flush solves its queries one after
+another, so the flush window only delayed them.  Answers and counters
+are unchanged.  A query that times out while queued is no longer
+solved or counted as answered.  Each name 7.0 removed, with its
+replacement:
+
+| Removed in 7.0 | Replacement | Notes |
+|---|---|---|
+| `repro.service.SessionPool`, `PoolStats`, `Engine.pool(...)`, \
+`SessionPool(size=..., checkout_timeout=...)` and its \
+`checkout()` / `checkin()` / `session()` | \
+`engine.session(max_cache_entries=..., keep_records=False)` | \
+Whoever opens a session owns it; open one per thread that answers. |
+| `SessionPool.ledger()`, `ledger_violations()` | \
+`session.distances.stats.snapshot()` and \
+`repro.core.stats.distance_invariant_violations(...)`; the service's \
+`GET /metrics` `ledger` and `ledger_violations` | `/metrics` reports \
+the ledger as of the last completed flush. |
+| `Engine.snapshot()`, `IndexSnapshot.engine()`, \
+`IndexSnapshot.session(...)` | `engine.session(...)`, which shares \
+the engine's tree | `IndexSnapshot.from_engine(engine.core)` still \
+makes the parallel executor's spawn payload. |
+| `ServiceConfig.pool_size`, `ifls serve --pool-size`, \
+`IFLSService.pool` | `IFLSService.session` | `GET /health` keeps its \
+`pool` block; `sessions` reads 1. |
+| `ServiceConfig.flush_window`, `ifls serve --flush-window`, \
+`Coalescer(flush_window=...)` | none | A flush starts as soon as the \
+previous one ends; requests that arrive meanwhile share the next. |
+| `ServiceConfig.max_batch`, `ifls serve --max-batch`, \
+`Coalescer(max_batch=...)` | none | A flush takes every pending \
+request. |
+| `Coalescer.submit_many(requests)` | \
+`asyncio.gather(*(coalescer.submit(r) for r in requests))` | |
+| The `service.pool.checkout` span and the `service.pool.sessions` \
+gauge | The `service.batch.flush` span; `GET /health` \
+`pool.sessions` | `service.pool.evictions` stays. |
+| The `GET /metrics` `pool` fields `size`, `created`, `retired` and \
+`queries_answered`; the `service.start` log line's `pool` field | \
+`pool.sessions`; `batcher.queries_answered` | |
+
 ## Migrating to 6.0
 
 6.0 answers every kernel-path facility retrieval with one engine call,
@@ -161,7 +205,7 @@ the fixed perf-gate suite. |
 (and the other experiment suites), `ifls bench` | Set `REPRO_SCALE` for \
 larger client counts. |
 | `ServiceConfig.workers`, `ifls serve --workers` | none | A flush \
-answers serially on its pooled session. `QuerySession.run(workers=)` \
+answers serially on one session. `QuerySession.run(workers=)` \
 and `run_batch_parallel` stay for library batches. |
 | `VIPDistanceEngine.idist_many(clients, target)` | \
 `engine.idist_group(pid, engine.exit_offsets(pid, clients), target)` \

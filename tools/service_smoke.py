@@ -9,8 +9,8 @@ library:
   checks every response bit-identically against a serial cold oracle
   computed in this process;
 * sends the same 50 queries as one ``POST /batch`` and checks order;
-* exports ``GET /metrics`` to an artifact file and asserts the pool's
-  merged distance ledger has no invariant violations;
+* exports ``GET /metrics`` to an artifact file and asserts the
+  service's distance ledger has no invariant violations;
 * scrapes ``GET /metrics?format=prometheus``, runs the strict
   exposition lint on the text, and writes the scrape as a second
   artifact;
@@ -122,8 +122,7 @@ def launch_server():
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve", VENUE,
-            "--port", "0", "--pool-size", "2",
-            "--flush-window", "0.01",
+            "--port", "0",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
