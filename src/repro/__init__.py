@@ -57,7 +57,6 @@ from .core import (
     QueryResponse,
     QuerySession,
     RankedCandidate,
-    SessionQueryRecord,
     SessionReport,
     StreamAnswer,
     StreamStats,
@@ -111,7 +110,7 @@ from .obs import (
     observe,
 )
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "BACKENDS",
@@ -164,7 +163,6 @@ __all__ = [
     "QueryStats",
     "Rect",
     "RequestTimeout",
-    "SessionQueryRecord",
     "SessionReport",
     "StreamAnswer",
     "StreamStats",

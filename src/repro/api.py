@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from .core.queries import IFLSEngine
 from .core.request import QueryRequest, QueryResponse
@@ -207,21 +207,21 @@ class Engine:
 
     def run(
         self,
-        requests: Sequence[QueryRequest],
+        requests: Iterable[QueryRequest],
         workers: int = 1,
         max_cache_entries: Optional[int] = None,
     ) -> List[QueryResponse]:
         """Answer a request batch on a fresh warm session.
 
+        ``requests`` may be any iterable, a generator included.
         ``workers > 1`` shards across a process pool exactly like
         ``QuerySession.run``; responses always follow submission order
         and carry per-query distance deltas.
         """
         self._require_query_backend()
-        session = self.core.session(
-            max_cache_entries=max_cache_entries, keep_records=False
-        )
-        results = session.run(list(requests), workers=workers)
+        requests = list(requests)
+        session = self.core.session(max_cache_entries=max_cache_entries)
+        results = session.run(requests, workers=workers)
         return [
             QueryResponse.from_result(result, request, index=index)
             for index, (request, result) in enumerate(
@@ -264,9 +264,7 @@ class Engine:
         from .core.stream import ContinuousQuery
 
         self._require_query_backend()
-        session = self.core.session(keep_records=False) if (
-            warm_session
-        ) else None
+        session = self.core.session() if warm_session else None
         return ContinuousQuery(
             self.core,
             facilities,

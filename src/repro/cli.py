@@ -190,8 +190,32 @@ def _run_query_batch(args: argparse.Namespace, venue, fe: int, fn: int) -> int:
     print(f"answers:    {improved}/{len(results)} queries improved "
           f"the crowd")
     print()
-    print(session.report().describe(per_query=args.session_stats))
+    print(session.report().describe())
+    if args.session_stats:
+        print()
+        print(_per_query_table(batch, results))
     return 0
+
+
+def _per_query_table(batch, results) -> str:
+    """One row per answered request: its label, objective, crowd size,
+    and the time and distance ledger of its ``result.stats``."""
+    lines = [
+        f"{'#':>4} {'label':<14} {'objective':<9} {'|C|':>6} "
+        f"{'time(s)':>9} {'computed':>9} {'hits':>9} {'rate':>6}"
+    ]
+    for index, (request, result) in enumerate(zip(batch, results), 1):
+        distance = result.stats.distance
+        computed = distance.distance_computations
+        hits = distance.cache_hits
+        rate = hits / (computed + hits) if computed + hits else 0.0
+        lines.append(
+            f"{index:>4} {request.label[:14]:<14} "
+            f"{request.objective:<9} {len(request.clients):>6} "
+            f"{result.stats.elapsed_seconds:>9.4f} "
+            f"{computed:>9} {hits:>9} {rate:>6.0%}"
+        )
+    return "\n".join(lines)
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -322,7 +346,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_cache_entries=args.cache_budget,
-        cache_bytes_budget=args.cache_bytes_budget,
         request_timeout=args.request_timeout,
         flight_capacity=args.flight_capacity,
         slow_query_seconds=slow if slow > 0 else None,
@@ -717,10 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-budget", type=int, default=None,
                        help="max memoised distance entries per "
                             "session (default unbounded)")
-    serve.add_argument("--cache-bytes-budget", type=int, default=None,
-                       help="drop the session's memos after a flush "
-                            "that leaves them above this many bytes "
-                            "(default off)")
     serve.add_argument("--request-timeout", type=float, default=30.0,
                        help="per-request seconds before HTTP 504 "
                             "(overridable per query)")

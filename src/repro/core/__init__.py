@@ -33,11 +33,7 @@ from .queries import (
     IFLSEngine,
 )
 from .result import IFLSResult, ResultStatus
-from .session import (
-    QuerySession,
-    SessionQueryRecord,
-    SessionReport,
-)
+from .session import QuerySession, SessionReport
 from .stream import (
     ClientEvent,
     ContinuousQuery,
@@ -67,7 +63,6 @@ __all__ = [
     "synthetic_events",
     "write_events",
     "QuerySession",
-    "SessionQueryRecord",
     "SessionReport",
     "RankedCandidate",
     "TopKStats",

@@ -35,7 +35,10 @@ execution counters differ, because cache warmth is distributed
 differently across workers.  Per-worker counters are merged by plain
 summation (:func:`~repro.core.stats.merge_snapshots`), which preserves
 the ledger invariants ``hits + computations == calls`` and
-``pops <= pushes``; the merge is re-checked on every run.
+``pops <= pushes``; the merge is re-checked on every run.  A request
+with ``explain=True`` gets its
+:class:`~repro.obs.explain.ExplainReport` as ``result.explain``,
+pickled home with the result it describes.
 
 Failure handling
 ----------------
@@ -65,18 +68,12 @@ from ..errors import ParallelExecutionError
 from ..index.snapshot import IndexSnapshot
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from ..obs.explain import ExplainReport
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import SpanRecord, Tracer
 from .queries import IFLSEngine
 from .request import QueryRequest
 from .result import IFLSResult
-from .session import (
-    QuerySession,
-    SessionQueryRecord,
-    SessionReport,
-    check_batch,
-)
+from .session import QuerySession, SessionReport, check_batch
 from .stats import (
     QueryStats,
     distance_invariant_violations,
@@ -99,23 +96,20 @@ def default_start_method() -> str:
 class ShardOutcome:
     """What one worker sends back for its shard of the batch.
 
-    ``totals`` and ``records`` are *deltas of this shard only* — a pool
-    worker may execute several shards on one warm session, so shard
-    accounting must not re-report earlier work.  ``totals`` is the sum
-    of the shard's per-query ``result.stats.distance`` deltas.  The
-    cache footprint (``cache_sizes``/``cache_entries``/``cache_bytes``)
-    is the worker's whole memo table, tagged with ``worker_pid`` so the
-    merge counts each process once (its largest observation) instead of
-    once per shard.
+    ``totals`` is a *delta of this shard only* — a pool worker may
+    execute several shards on one warm session, so shard accounting
+    must not re-report earlier work.  It is the sum of the shard's
+    per-query ``result.stats.distance`` deltas.  The cache footprint
+    (``cache_sizes``/``cache_entries``/``cache_bytes``) is the
+    worker's whole memo table, tagged with ``worker_pid`` so the merge
+    counts each process once (its largest observation) instead of once
+    per shard.
 
     When the parent had observability enabled, ``trace_records`` holds
     the worker's finished spans (absorbed into the parent tracer on
     reassembly, tagged with the worker pid) and ``metrics_snapshot``
     the worker registry's image (folded into the parent registry with
-    the documented merge semantics).  ``explain_reports`` carries one
-    :class:`~repro.obs.explain.ExplainReport` per shard query when the
-    batch ran in explain mode, already rewritten to 1-based submission
-    indices like ``records``.
+    the documented merge semantics).
     """
 
     indices: List[int]
@@ -125,10 +119,8 @@ class ShardOutcome:
     cache_entries: int
     cache_bytes: int
     worker_pid: int
-    records: List[SessionQueryRecord] = field(default_factory=list)
     trace_records: List[SpanRecord] = field(default_factory=list)
     metrics_snapshot: Optional[Dict] = None
-    explain_reports: List[ExplainReport] = field(default_factory=list)
 
 
 @dataclass
@@ -140,9 +132,6 @@ class ParallelBatchOutcome:
     per-worker memos, i.e. the pool's combined footprint, which is
     larger than one shared cache would be).  ``query_stats`` merges the
     per-result :class:`QueryStats` for queue/pruning invariants.
-    ``explain_reports`` holds one per-query
-    :class:`~repro.obs.explain.ExplainReport` in submission order when
-    the batch ran with ``explain=True`` (empty otherwise).
     """
 
     results: List[IFLSResult]
@@ -151,7 +140,6 @@ class ParallelBatchOutcome:
     workers: int
     start_method: str
     elapsed_seconds: float
-    explain_reports: List[ExplainReport] = field(default_factory=list)
 
     @property
     def answers(self) -> List[Tuple[Optional[int], float]]:
@@ -170,9 +158,7 @@ _WORKER_SESSION: Optional[QuerySession] = None
 _FORK_ENGINE: Optional[IFLSEngine] = None
 
 
-def _init_fork_worker(
-    max_cache_entries: Optional[int], keep_records: bool
-) -> None:
+def _init_fork_worker(max_cache_entries: Optional[int]) -> None:
     """Worker initializer under ``fork``: wrap the inherited engine."""
     global _WORKER_SESSION
     # The fork inherited the parent's process-global collectors; spans
@@ -188,22 +174,18 @@ def _init_fork_worker(
             "fork worker started without an inherited engine"
         )
     _WORKER_SESSION = QuerySession(
-        _FORK_ENGINE,
-        max_cache_entries=max_cache_entries,
-        keep_records=keep_records,
+        _FORK_ENGINE, max_cache_entries=max_cache_entries
     )
 
 
 def _init_spawn_worker(
-    payload: bytes, max_cache_entries: Optional[int], keep_records: bool
+    payload: bytes, max_cache_entries: Optional[int]
 ) -> None:
     """Worker initializer under ``spawn``: restore the snapshot."""
     global _WORKER_SESSION
     engine = IndexSnapshot.from_bytes(payload).restore()
     _WORKER_SESSION = QuerySession(
-        engine,
-        max_cache_entries=max_cache_entries,
-        keep_records=keep_records,
+        engine, max_cache_entries=max_cache_entries
     )
 
 
@@ -212,19 +194,15 @@ def _run_shard(
     submitted_at: Optional[float] = None,
     observe_trace: bool = False,
     observe_metrics: bool = False,
-    observe_explain: bool = False,
 ) -> ShardOutcome:
     """Answer one shard on this worker's warm session.
 
-    ``shard`` carries ``(submission_index, request)`` pairs; record
-    indices are rewritten to the 1-based submission position so the
-    merged report reads like one serial session.  When the parent had
+    ``shard`` carries ``(submission_index, request)`` pairs; a query
+    without a label of its own is named after its 1-based submission
+    position, as a serial session would name it.  When the parent had
     collectors active it sets the ``observe_*`` flags: the shard then
     runs under a fresh per-shard tracer/registry whose records travel
-    back in the :class:`ShardOutcome`.  ``observe_explain`` flips the
-    worker session into explain mode for this shard, shipping the
-    per-query :class:`~repro.obs.explain.ExplainReport` list home with
-    rewritten submission indices.  ``submitted_at`` is the parent's
+    back in the :class:`ShardOutcome`.  ``submitted_at`` is the parent's
     ``time.time()`` at submission — queue wait is measured on the wall
     clock because monotonic clocks do not compare across processes
     (documented approximate).
@@ -234,10 +212,6 @@ def _run_shard(
         raise ParallelExecutionError("worker session was not initialised")
     tracer = Tracer() if observe_trace else None
     registry = MetricsRegistry() if observe_metrics else None
-    records_start = len(session.records)
-    explain_was = session.explain
-    explain_start = len(session.explain_reports)
-    session.explain = observe_explain
     results: List[IFLSResult] = []
     indices: List[int] = []
     with ExitStack() as stack:
@@ -267,16 +241,9 @@ def _run_shard(
             "parallel.shard.seconds",
             sum(result.stats.elapsed_seconds for result in results),
         )
-    session.explain = explain_was
     totals = merge_snapshots(
         result.stats.distance.snapshot() for result in results
     )
-    records = list(session.records[records_start:])
-    for record, index in zip(records, indices):
-        record.index = index + 1
-    explain_reports = list(session.explain_reports[explain_start:])
-    for report, index in zip(explain_reports, indices):
-        report.index = index + 1
     return ShardOutcome(
         indices=indices,
         results=results,
@@ -285,14 +252,12 @@ def _run_shard(
         cache_entries=session.distances.cache_entries(),
         cache_bytes=session.distances.cache_bytes(),
         worker_pid=os.getpid(),
-        records=records,
         trace_records=(
             tracer.sorted_records() if tracer is not None else []
         ),
         metrics_snapshot=(
             registry.snapshot() if registry is not None else None
         ),
-        explain_reports=explain_reports,
     )
 
 
@@ -334,10 +299,6 @@ def _merged_report(
             "merged worker statistics broke counter invariants: "
             + "; ".join(violations)
         )
-    records = sorted(
-        (record for outcome in outcomes for record in outcome.records),
-        key=lambda record: record.index,
-    )
     # A worker that executed several shards reports its (growing) memo
     # tables once per shard; keep only the largest observation per
     # process so the pool footprint is a sum over workers, not shards.
@@ -354,7 +315,6 @@ def _merged_report(
         cache_entries=sum(o.cache_entries for o in per_worker),
         cache_bytes=sum(o.cache_bytes for o in per_worker),
         max_cache_entries=max_cache_entries,
-        records=records,
     )
 
 
@@ -380,8 +340,6 @@ def _run_serial(
     engine: IFLSEngine,
     batch: Sequence[QueryRequest],
     max_cache_entries: Optional[int],
-    keep_records: bool,
-    explain: bool = False,
 ) -> ParallelBatchOutcome:
     """The ``workers=1`` path: one in-process warm session.
 
@@ -389,12 +347,7 @@ def _run_serial(
     pickling — so its output is byte-identical to
     ``engine.session().run(batch)``.
     """
-    session = QuerySession(
-        engine,
-        max_cache_entries=max_cache_entries,
-        keep_records=keep_records,
-        explain=explain,
-    )
+    session = QuerySession(engine, max_cache_entries=max_cache_entries)
     started = time.perf_counter()
     results = session.run(batch)
     elapsed = time.perf_counter() - started
@@ -405,7 +358,6 @@ def _run_serial(
         workers=1,
         start_method="serial",
         elapsed_seconds=elapsed,
-        explain_reports=list(session.explain_reports),
     )
 
 
@@ -414,9 +366,7 @@ def run_batch_parallel(
     batch: Sequence[QueryRequest],
     workers: int,
     max_cache_entries: Optional[int] = None,
-    keep_records: bool = True,
     start_method: Optional[str] = None,
-    explain: bool = False,
 ) -> ParallelBatchOutcome:
     """Answer ``batch`` on ``workers`` processes sharing one index.
 
@@ -429,16 +379,12 @@ def run_batch_parallel(
         Requested pool size; capped at ``len(batch)`` so no process
         starts idle.  ``1`` runs serially in-process and is
         byte-identical to ``engine.session().run(batch)``.
-    max_cache_entries / keep_records:
+    max_cache_entries:
         Forwarded to each worker's :class:`QuerySession` (the cache
         budget applies *per worker*).
     start_method:
         ``"fork"``, ``"spawn"``, or ``None`` for the platform default
         (fork where available).
-    explain:
-        Profile every query in the workers and collect the per-query
-        :class:`~repro.obs.explain.ExplainReport` list (submission
-        order) into ``outcome.explain_reports``.
 
     Raises
     ------
@@ -463,9 +409,7 @@ def run_batch_parallel(
     if workers < 1:
         raise ParallelExecutionError(f"workers must be >= 1, got {workers}")
     if workers == 1:
-        return _run_serial(
-            engine, batch, max_cache_entries, keep_records, explain
-        )
+        return _run_serial(engine, batch, max_cache_entries)
 
     observe_trace = _trace.active() is not None
     observe_metrics = _metrics.active() is not None
@@ -477,7 +421,7 @@ def run_batch_parallel(
             if method == FORK:
                 context = multiprocessing.get_context(FORK)
                 initializer = _init_fork_worker
-                initargs: tuple = (max_cache_entries, keep_records)
+                initargs: tuple = (max_cache_entries,)
                 _FORK_ENGINE = engine
             else:
                 context = multiprocessing.get_context(SPAWN)
@@ -485,7 +429,6 @@ def run_batch_parallel(
                 initargs = (
                     IndexSnapshot.from_engine(engine).to_bytes(),
                     max_cache_entries,
-                    keep_records,
                 )
         started = time.perf_counter()
         outcomes: List[ShardOutcome] = []
@@ -505,7 +448,6 @@ def run_batch_parallel(
                             time.time(),
                             observe_trace,
                             observe_metrics,
-                            explain,
                         ),
                     )
                     for number, shard in enumerate(shards)
@@ -558,14 +500,6 @@ def run_batch_parallel(
                 outcomes, len(batch), max_cache_entries
             )
             query_stats = merge_query_stats(r.stats for r in results)
-            explain_reports = sorted(
-                (
-                    explained
-                    for outcome in outcomes
-                    for explained in outcome.explain_reports
-                ),
-                key=lambda explained: explained.index or 0,
-            )
         _metrics.record(
             "parallel.merge.seconds",
             time.perf_counter() - merge_started,
@@ -580,5 +514,4 @@ def run_batch_parallel(
         workers=len(shards),
         start_method=method,
         elapsed_seconds=elapsed,
-        explain_reports=explain_reports,
     )

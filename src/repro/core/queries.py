@@ -150,10 +150,11 @@ class IFLSEngine:
             Ablation switches for the efficient approach.
         cold:
             Run on a fresh distance engine instead of this
-            :class:`IFLSEngine`'s shared, warm one.  The baseline gets a
-            non-memoising engine (the paper's baseline considers each
-            client separately); used by the benchmark harness so
-            measurements are independent and fair.
+            :class:`IFLSEngine`'s shared, warm one.  The baseline gets an
+            engine with a memo budget of 0, which reuses nothing (the
+            paper's baseline considers each client separately); used by
+            the benchmark harness so measurements are independent and
+            fair.
 
         Every algorithm answers through
         :func:`~repro.core.efficient.measured_query`, so
@@ -236,33 +237,23 @@ class IFLSEngine:
         if cold:
             distances = VIPDistanceEngine(
                 self.tree,
-                memoize=algorithm != BASELINE,
+                max_cache_entries=0 if algorithm == BASELINE else None,
                 use_kernels=self.use_kernels,
             )
         return self.problem(clients, facilities, distances=distances)
 
     def session(
-        self,
-        max_cache_entries: Optional[int] = None,
-        keep_records: bool = True,
-        explain: bool = False,
+        self, max_cache_entries: Optional[int] = None
     ) -> "QuerySession":
         """Open a batch-execution session sharing this engine's tree.
 
         The session answers query sequences on its own persistent
         distance engine, keeping the ``iMinD`` caches warm across
-        queries — see :mod:`repro.core.session`.  ``explain=True``
-        additionally profiles every query into
-        ``session.explain_reports``.
+        queries — see :mod:`repro.core.session`.
         """
         from .session import QuerySession
 
-        return QuerySession(
-            self,
-            max_cache_entries=max_cache_entries,
-            keep_records=keep_records,
-            explain=explain,
-        )
+        return QuerySession(self, max_cache_entries=max_cache_entries)
 
     # Convenience wrappers -------------------------------------------------
     def minmax(

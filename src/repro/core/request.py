@@ -72,9 +72,14 @@ class QueryRequest:
     to the engine.
 
     ``timeout_seconds`` is honoured by the query service (HTTP 504 when
-    exceeded); library executors ignore it.  ``explain`` asks the
-    service to keep the query's EXPLAIN report retrievable under
-    ``GET /explain/<id>``.
+    exceeded); library executors ignore it.  ``explain`` runs the
+    query under the EXPLAIN profiler wherever a session answers it
+    (``QuerySession.run``, ``run_batch_parallel``, the query
+    service): the :class:`~repro.obs.explain.ExplainReport` comes back
+    as ``result.explain``, and the service keeps it retrievable under
+    ``GET /explain/<id>``.  :meth:`repro.api.Engine.query` and
+    :meth:`repro.api.Engine.run` return responses, which carry no
+    report; :meth:`repro.api.Engine.explain` explains one request.
 
     ``request_id`` is the correlation id telemetry stitches traces
     with: minted by the service per HTTP request (``r…``) or by
@@ -232,10 +237,9 @@ class QueryResponse:
     """The answer envelope matching :class:`QueryRequest`.
 
     ``elapsed_seconds`` and ``distance_delta`` are the solver's own
-    measurement of the query (its ``result.stats``, the same ledger
-    slice ``SessionQueryRecord`` records), so a client summing the
-    deltas of every response it received can telescope them against
-    the service's ``/metrics`` ledger.
+    measurement of the query (its ``result.stats``), so a client
+    summing the deltas of every response it received can telescope
+    them against the service's ``/metrics`` ledger.
     """
 
     answer: Optional[PartitionId]

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..indoor.entities import PartitionId
 from .stats import QueryStats
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs.explain import ExplainReport
 
 
 class ResultStatus(enum.Enum):
@@ -47,12 +50,17 @@ class IFLSResult:
         Outcome class.
     stats:
         Execution counters for the run that produced this result.
+    explain:
+        The query's :class:`~repro.obs.explain.ExplainReport` when a
+        session answered a request with ``explain=True``; ``None``
+        otherwise.
     """
 
     answer: Optional[PartitionId]
     objective: float
     status: ResultStatus = ResultStatus.OPTIMAL
     stats: QueryStats = field(default_factory=QueryStats)
+    explain: Optional["ExplainReport"] = None
 
     @property
     def improved(self) -> bool:

@@ -21,7 +21,7 @@ query batch.  ``max_cache_entries`` bounds
 the total number of memoised entries; the oldest entries are evicted
 first (insertion order), so a long-lived session's memory stays flat.
 
-Counter semantics (kept uniform across ``memoize`` modes so
+Counter semantics (kept uniform with and without memo reuse so
 baseline-vs-efficient comparisons in ``bench/`` are apples-to-apples):
 
 * ``*_calls`` / ``*_lookups`` count every request, hit or miss;
@@ -142,20 +142,20 @@ class DistanceStats:
 class VIPDistanceEngine:
     """Distance primitives over a :class:`VIPTree`.
 
-    ``memoize`` controls the partition-level distance reuse that the
-    *efficient* IFLS algorithm contributes (Section 5.3.1): caching
-    ``iMinD`` per partition pair, per (partition, node) pair, and
-    door-pair distances.  The paper's baseline "considers each client
-    separately", so it runs on an engine with ``memoize=False`` where
-    every call recomputes from the index matrices — the *code paths*
-    (including the single-door shortcut) are identical in both modes,
-    only the memo reuse differs.
+    The engine memoises the partition-level distance reuse that the
+    *efficient* IFLS algorithm contributes (Section 5.3.1): ``iMinD``
+    per partition pair, per (partition, node) pair, and door-pair
+    distances.  ``max_cache_entries`` caps the combined size of the
+    three memo tables; ``None`` means unbounded.  Eviction is
+    oldest-first from the largest table, counted in
+    ``stats.cache_evictions``; the entry being stored is never its own
+    victim.
 
-    ``max_cache_entries`` caps the combined size of the three memo
-    tables; ``None`` means unbounded.  Eviction is oldest-first from
-    the largest table, counted in ``stats.cache_evictions``; the entry
-    being stored is never its own victim, and a budget of ``0``
-    disables storage entirely (every request recomputes).
+    A budget of ``0`` switches memo reuse off: no memo is probed or
+    stored, and every call recomputes from the index matrices.  The
+    paper's baseline "considers each client separately", so it runs on
+    such an engine — the *code paths* (including the single-door
+    shortcut) are the same either way, only the memo reuse differs.
 
     ``use_kernels`` selects the dense-array fast paths of
     :mod:`repro.index.kernels` for the inner door loops and the
@@ -168,7 +168,6 @@ class VIPDistanceEngine:
     def __init__(
         self,
         tree: VIPTree,
-        memoize: bool = True,
         max_cache_entries: Optional[int] = None,
         use_kernels: Optional[bool] = None,
     ) -> None:
@@ -183,8 +182,8 @@ class VIPDistanceEngine:
             )
         self.tree = tree
         self.venue: IndoorVenue = tree.venue
-        self.memoize = memoize
         self.max_cache_entries = max_cache_entries
+        self._memo = max_cache_entries != 0
         self.use_kernels = bool(use_kernels)
         self._pack: Optional[_kernels.KernelPack] = (
             tree.kernels() if self.use_kernels else None
@@ -259,8 +258,6 @@ class VIPDistanceEngine:
 
     def _store(self, cache: Dict, key, value: float) -> None:
         budget = self.max_cache_entries
-        if budget == 0:
-            return  # cache disabled: never store, never evict
         cache[key] = value
         if budget is None:
             return
@@ -285,7 +282,7 @@ class VIPDistanceEngine:
                         for table in tables
                         if table is not victim and table
                     ]
-                    if not others:  # pragma: no cover - budget 0 only
+                    if not others:  # pragma: no cover - defensive
                         break
                     victim = max(others, key=len)
                     oldest = next(iter(victim))
@@ -313,7 +310,7 @@ class VIPDistanceEngine:
         return.
         """
         self.stats.d2d_lookups += 1
-        if not self.memoize:
+        if not self._memo:
             return self.tree.door_to_door(a, b)
         key = (a, b)
         cached = self._d2d_cache.get(key)
@@ -337,7 +334,7 @@ class VIPDistanceEngine:
             return 0.0
         self.stats.imind_calls += 1
         key = (a, b) if a <= b else (b, a)
-        if self.memoize:
+        if self._memo:
             cached = self._imind_pp.get(key)
             if cached is not None:
                 self.stats.imind_cache_hits += 1
@@ -363,7 +360,7 @@ class VIPDistanceEngine:
                     d = self.door_to_door(door_lo, door_hi)
                     if d < best:
                         best = d
-        if self.memoize:
+        if self._memo:
             self._store(self._imind_pp, key, best)
         return best
 
@@ -396,7 +393,7 @@ class VIPDistanceEngine:
             ]
         layout = pack.leaf_layout(leaf)
         bounds = pack.leaf_row(partition_id, leaf)
-        memo = self._imind_pp if self.memoize else None
+        memo = self._imind_pp if self._memo else None
         budget = self.max_cache_entries
         out: List[Tuple[PartitionId, float]] = []
         hits = misses = missed_doors = 0
@@ -445,7 +442,7 @@ class VIPDistanceEngine:
             return 0.0
         self.stats.imind_node_calls += 1
         key = (partition_id, node.node_id)
-        if self.memoize:
+        if self._memo:
             cached = self._imind_node.get(key)
             if cached is not None:
                 self.stats.imind_node_cache_hits += 1
@@ -467,7 +464,7 @@ class VIPDistanceEngine:
                     d = row.get(door_a)
                     if d is not None and d < best:
                         best = d
-        if self.memoize:
+        if self._memo:
             self._store(self._imind_node, key, best)
         return best
 
@@ -480,8 +477,8 @@ class VIPDistanceEngine:
         Implements both cases of paper §5.3.1: the single-door shortcut
         reuses ``iMinD`` of the client's partition, the general case
         enumerates exit doors.  The shortcut depends only on the door
-        count — both ``memoize`` modes take the same code path, the
-        memoised mode merely reuses the cached ``iMinD``.
+        count — an engine with or without memo reuse takes the same
+        code path; memo reuse merely returns the cached ``iMinD``.
         """
         self.stats.idist_calls += 1
         source = client.partition_id

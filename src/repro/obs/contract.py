@@ -319,11 +319,6 @@ METRICS: Dict[str, MetricSpec] = _metrics(
         "per-flush wall time answering one coalesced batch",
     ),
     MetricSpec(
-        "service.pool.evictions", "counter", "sessions",
-        "flushes after which the resident session's memos were "
-        "dropped for exceeding the cache-byte budget",
-    ),
-    MetricSpec(
         "flight.records", "counter", "spans",
         "every completed span captured by the installed flight "
         "recorder",

@@ -26,11 +26,13 @@ full distance-counter attribution,
 :func:`write_explain_csv` / :func:`read_explain_csv`).
 
 Reports are produced by :func:`explain_query`, which
-:meth:`repro.core.queries.IFLSEngine.explain`,
-``QuerySession(explain=True)`` (serial and sharded-parallel batches)
-and the ``ifls explain`` CLI all run through; each assembly increments
-the ``explain.reports`` contract metric.  A report's time and distance
-ledger are the ones the solver measured into ``result.stats``.
+:meth:`repro.core.queries.IFLSEngine.explain` (and the ``ifls
+explain`` CLI) and a session answering a ``QueryRequest`` with
+``explain=True`` (serial and sharded-parallel batches, the query
+service) all run through; each assembly increments the
+``explain.reports`` contract metric.  A report's time and distance
+ledger are the ones the solver measured into ``result.stats``; a
+session returns the report as ``result.explain``.
 """
 
 from __future__ import annotations
@@ -143,7 +145,11 @@ class ExplainPhase:
 
 @dataclass
 class ExplainReport:
-    """Everything the profiler learned about one query."""
+    """Everything the profiler learned about one query.
+
+    ``cache_entries`` is the answering session's memo size after the
+    query (``None`` for :meth:`IFLSEngine.explain`).
+    """
 
     label: str
     objective: str
@@ -160,7 +166,6 @@ class ExplainReport:
     bound_rounds: int
     bound_steps_dropped: int
     node_visits: Dict[int, Dict[str, int]]
-    index: Optional[int] = None
     cache_entries: Optional[int] = None
 
     # -- derived views -------------------------------------------------
@@ -220,7 +225,6 @@ class ExplainReport:
                 str(depth): dict(visit)
                 for depth, visit in self.node_visits.items()
             },
-            "index": self.index,
             "cache_entries": self.cache_entries,
         }
 
@@ -234,7 +238,6 @@ class ExplainReport:
                 f"(expected {EXPLAIN_SCHEMA})"
             )
         answer = payload.get("answer")
-        index = payload.get("index")
         cache_entries = payload.get("cache_entries")
         return cls(
             label=str(payload["label"]),
@@ -271,7 +274,6 @@ class ExplainReport:
                     "node_visits", {}
                 ).items()
             },
-            index=None if index is None else int(index),
             cache_entries=(
                 None if cache_entries is None else int(cache_entries)
             ),

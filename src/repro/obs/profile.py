@@ -93,9 +93,9 @@ class ProfileCollector:
     The collector is deliberately dumb — append-only counters and a
     bounded sample list — so the enabled cost stays O(1) per solver
     round.  One collector normally profiles one query
-    (:meth:`IFLSEngine.explain` and session explain mode install a
-    fresh one per query); reusing it across queries simply
-    concatenates rounds.
+    (:func:`~repro.obs.explain.explain_query` installs a fresh one
+    per query); reusing it across queries simply concatenates
+    rounds.
     """
 
     def __init__(self, bound_limit: int = 512) -> None:

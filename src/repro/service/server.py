@@ -112,7 +112,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 8337
     max_cache_entries: Optional[int] = None
-    cache_bytes_budget: Optional[int] = None
     request_timeout: Optional[float] = 30.0
     explain_capacity: int = 128
     stream_capacity: int = 32
@@ -168,15 +167,13 @@ class IFLSService:
             else None
         )
         self.session = engine.session(
-            max_cache_entries=self.config.max_cache_entries,
-            keep_records=False,
+            max_cache_entries=self.config.max_cache_entries
         )
         # The session's distance ledger as of the last completed
         # flush; only the flush thread writes it (see _run_batch).
         self._ledger: Dict[str, int] = (
             self.session.distances.stats.snapshot()
         )
-        self.evictions = 0
         # Flushes get their own executor: on the loop's shared default
         # executor, blocked application threads could starve the very
         # flush that would unblock them.
@@ -615,57 +612,30 @@ class IFLSService:
         ``DistanceStats`` see single-threaded writes only.  Each
         request is answered in its own ``try``, so its outcome is its
         response or the exception its solve raised, never a
-        stranger's.  After the answers, the cache-byte budget is
-        applied and the ledger ``/metrics`` reports is snapshotted, so
-        a reader never sees a flush's counters half-updated.
+        stranger's.  An ``"explain": true`` request's report
+        (``result.explain``) is stored under the response's
+        ``explain_id``.  After the answers, the ledger ``/metrics``
+        reports is snapshotted, so a reader never sees a flush's
+        counters half-updated.
         """
         session = self.session
         outcomes: List[Union[QueryResponse, Exception]] = []
         for index, request in enumerate(requests):
             try:
-                if request.explain:
-                    outcome = self._run_explained(
-                        session, request, index
-                    )
-                else:
-                    outcome = QueryResponse.from_result(
-                        session.run([request])[0], request, index=index
-                    )
+                result = session.run([request])[0]
+                explain_id = (
+                    self._store_explain(result.explain.to_dict())
+                    if result.explain is not None
+                    else None
+                )
+                outcome = QueryResponse.from_result(
+                    result, request, index=index, explain_id=explain_id
+                )
             except Exception as exc:  # noqa: BLE001 - per request
                 outcome = exc
             outcomes.append(outcome)
-        budget = self.config.cache_bytes_budget
-        # cache_bytes() walks every memo entry (tens of ms on a warm
-        # venue), so it is paid only when a budget asks for it.
-        if budget is not None and session.distances.cache_bytes() > budget:
-            session.invalidate()
-            self.evictions += 1
-            _metrics.add("service.pool.evictions")
         self._ledger = session.distances.stats.snapshot()
         return outcomes
-
-    def _run_explained(
-        self, session, request: QueryRequest, index: int
-    ) -> QueryResponse:
-        """Answer one ``"explain": true`` request, storing its report."""
-        session.explain = True
-        try:
-            result = session.answer(request, "")
-        finally:
-            session.explain = False
-        report = (
-            session.explain_reports.pop()
-            if session.explain_reports
-            else None
-        )
-        explain_id = (
-            self._store_explain(report.to_dict())
-            if report is not None
-            else None
-        )
-        return QueryResponse.from_result(
-            result, request, index=index, explain_id=explain_id
-        )
 
     # ------------------------------------------------------------------
     # Continuous streams
@@ -687,8 +657,7 @@ class IFLSService:
                 "exhausted; DELETE an open stream first"
             )
         session = self.engine.session(
-            max_cache_entries=self.config.max_cache_entries,
-            keep_records=False,
+            max_cache_entries=self.config.max_cache_entries
         )
         query = ContinuousQuery(
             facilities=facilities,
@@ -804,7 +773,6 @@ class IFLSService:
             "cache_bytes": (
                 0 if busy else self.session.distances.cache_bytes()
             ),
-            "evictions": self.evictions,
         }
 
     def health_payload(self) -> Dict[str, Any]:

@@ -167,11 +167,11 @@ class TestMergedStats:
         outcome = run_batch_parallel(engine, batch, 3)
         report = outcome.report
         assert report.queries == len(batch)
-        assert [r.index for r in report.records] == list(
-            range(1, len(batch) + 1)
-        )
+        assert [r.stats.algorithm for r in outcome.results] == [
+            f"efficient-{q.objective}" for q in batch
+        ]
         summed = merge_snapshots(
-            r.distance_delta for r in report.records
+            r.stats.distance.snapshot() for r in outcome.results
         )
         assert summed == report.totals
 
@@ -179,11 +179,10 @@ class TestMergedStats:
         venue, engine, rooms = office
         batch = _batch(venue, rooms, queries=5)
         outcome = run_batch_parallel(engine, batch, 2)
-        for record, result in zip(
-            outcome.report.records, outcome.results
-        ):
-            assert record.answer == result.answer
-            assert record.objective_value == result.objective
+        serial = run_batch_parallel(engine, batch, 1)
+        for merged, result in zip(outcome.results, serial.results):
+            assert merged.answer == result.answer
+            assert merged.objective == result.objective
 
     def test_session_integration_merges_counters(self, office):
         venue, engine, rooms = office
@@ -191,16 +190,13 @@ class TestMergedStats:
         session = engine.session()
         # One serial query first, then a parallel batch on top.
         first = batch[0]
-        session.query(first.clients, first.facilities)
-        results = session.run(batch, workers=2)
-        assert len(results) == len(batch)
+        results = [session.query(first.clients, first.facilities)]
+        results += session.run(batch, workers=2)
+        assert len(results) == len(batch) + 1
         report = session.report()
         assert report.queries == len(batch) + 1
-        assert [r.index for r in report.records] == list(
-            range(1, len(batch) + 2)
-        )
         summed = merge_snapshots(
-            r.distance_delta for r in report.records
+            r.stats.distance.snapshot() for r in results
         )
         assert summed == report.totals
         assert distance_invariant_violations(report.totals) == []

@@ -222,14 +222,3 @@ class TestExecutorBridges:
             want.answer, want.objective
         )
 
-    def test_take_records_drains_but_keeps_totals(self, office):
-        venue, engine, rooms = office
-        session = engine.session()
-        session.run([_request(venue, rooms, seed=5)])
-        taken = session.take_records()
-        assert len(taken) == 1
-        assert session.records == []
-        assert session.queries_answered == 1
-        # Ledger keeps accumulating; only the record list drained.
-        assert sum(session.report().totals.values()) > 0
-

@@ -39,7 +39,7 @@ class TestIDist:
 
     def test_single_door_shortcut_matches_general_path(self, setup):
         venue, engine, exact = setup
-        cold = VIPDistanceEngine(engine.tree, memoize=False)
+        cold = VIPDistanceEngine(engine.tree, max_cache_entries=0)
         clients = make_clients(venue, 6, seed=7)
         targets = sorted(venue.partition_ids())[:8]
         for client in clients:
@@ -131,13 +131,13 @@ class TestPointBounds:
 
 
 class TestCounterSemantics:
-    """Uniform counting (d2d) and memoize-independent shortcuts."""
+    """Uniform counting (d2d) and shortcuts independent of memo reuse."""
 
     def test_idist_identical_with_and_without_memoize(self, setup):
         venue, _, _ = setup
         tree = VIPTree(venue)
-        memo = VIPDistanceEngine(tree, memoize=True)
-        cold = VIPDistanceEngine(tree, memoize=False)
+        memo = VIPDistanceEngine(tree)
+        cold = VIPDistanceEngine(tree, max_cache_entries=0)
         clients = make_clients(venue, 10, seed=21)
         targets = sorted(venue.partition_ids())
         for client in clients:
@@ -152,8 +152,8 @@ class TestCounterSemantics:
         clients = make_clients(venue, 5, seed=22)
         targets = sorted(venue.partition_ids())[:6]
         counts = []
-        for memoize in (True, False):
-            engine = VIPDistanceEngine(tree, memoize=memoize)
+        for budget in (None, 0):
+            engine = VIPDistanceEngine(tree, max_cache_entries=budget)
             for client in clients:
                 for target in targets:
                     engine.idist(client, target)
@@ -164,13 +164,13 @@ class TestCounterSemantics:
         venue, _, _ = setup
         tree = VIPTree(venue)
         doors = sorted(venue.door_ids())[:2]
-        for memoize in (True, False):
-            engine = VIPDistanceEngine(tree, memoize=memoize)
+        for budget in (None, 0):
+            engine = VIPDistanceEngine(tree, max_cache_entries=budget)
             for _ in range(3):
                 engine.door_to_door(doors[0], doors[1])
             # Every probe counts as a lookup, memoised or not ...
             assert engine.stats.d2d_lookups == 3
-            if memoize:
+            if budget is None:
                 # ... and with memoisation the repeats are hits.
                 assert engine.stats.d2d_cache_hits == 2
             else:
@@ -179,8 +179,8 @@ class TestCounterSemantics:
     def test_hits_plus_computations_equals_calls(self, setup):
         venue, _, _ = setup
         tree = VIPTree(venue)
-        for memoize in (True, False):
-            engine = VIPDistanceEngine(tree, memoize=memoize)
+        for budget in (None, 0):
+            engine = VIPDistanceEngine(tree, max_cache_entries=budget)
             clients = make_clients(venue, 6, seed=23)
             for client in clients:
                 for target in sorted(venue.partition_ids()):
@@ -205,7 +205,7 @@ class TestDirection:
         tree = VIPTree(venue_by_name("CPH"))
         warm = VIPDistanceEngine(tree, use_kernels=use_kernels)
         fresh = VIPDistanceEngine(
-            tree, memoize=False, use_kernels=use_kernels
+            tree, max_cache_entries=0, use_kernels=use_kernels
         )
         rng = random.Random(29)
         clients = uniform_clients(tree.venue, 60, rng)
@@ -230,7 +230,7 @@ class TestEviction:
     def test_budget_bounds_cache_entries(self, setup):
         venue, _, _ = setup
         engine = VIPDistanceEngine(
-            VIPTree(venue), memoize=True, max_cache_entries=25
+            VIPTree(venue), max_cache_entries=25
         )
         pids = sorted(venue.partition_ids())
         for a in pids:
@@ -242,7 +242,7 @@ class TestEviction:
     def test_eviction_preserves_values(self, setup):
         venue, _, exact = setup
         engine = VIPDistanceEngine(
-            VIPTree(venue), memoize=True, max_cache_entries=10
+            VIPTree(venue), max_cache_entries=10
         )
         pids = sorted(venue.partition_ids())
         for a in pids[:8]:
@@ -270,7 +270,7 @@ class TestTinyBudgets:
     def _engine(self, setup, budget):
         _, engine, _ = setup
         return VIPDistanceEngine(
-            engine.tree, memoize=True, max_cache_entries=budget
+            engine.tree, max_cache_entries=budget
         )
 
     def test_negative_budget_rejected(self, setup):
@@ -281,7 +281,7 @@ class TestTinyBudgets:
     def test_budget_zero_disables_cache(self, setup):
         engine = self._engine(setup, 0)
         doors = sorted(engine.venue.door_ids())[:2]
-        cold = VIPDistanceEngine(engine.tree, memoize=False)
+        cold = VIPDistanceEngine(engine.tree, max_cache_entries=0)
         for _ in range(3):
             assert engine.door_to_door(doors[0], doors[1]) == (
                 cold.door_to_door(doors[0], doors[1])

@@ -95,7 +95,9 @@ class TestD2DBlock:
     def test_imind_node_matches_scalar(self, setup):
         venue, tree = setup
         pack = tree.kernels()
-        scalar = VIPDistanceEngine(tree, memoize=False, use_kernels=False)
+        scalar = VIPDistanceEngine(
+            tree, max_cache_entries=0, use_kernels=False
+        )
         pids = sorted(venue.partition_ids())[:6]
         for pid in pids:
             for node in tree.nodes:
@@ -136,7 +138,9 @@ class TestDerivedReductions:
     def test_partition_pair_min_matches_scalar_imind(self, setup):
         venue, tree = setup
         pack = tree.kernels()
-        scalar = VIPDistanceEngine(tree, memoize=False, use_kernels=False)
+        scalar = VIPDistanceEngine(
+            tree, max_cache_entries=0, use_kernels=False
+        )
         pids = sorted(venue.partition_ids())[:6]
         for a in pids:
             for b in pids:
@@ -191,7 +195,7 @@ class TestLeafRows:
 
 
 def _memo_free_scalar(tree):
-    return VIPDistanceEngine(tree, memoize=False, use_kernels=False)
+    return VIPDistanceEngine(tree, max_cache_entries=0, use_kernels=False)
 
 
 @pytest.fixture(scope="module")

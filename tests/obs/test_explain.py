@@ -21,7 +21,6 @@ from repro.obs.explain import (
     DISTANCE_COUNTER_KEYS,
     EXPLAIN_CSV_COLUMNS,
     EXPLAIN_SCHEMA,
-    ExplainReport,
     read_explain_csv,
     read_explain_json,
     write_explain_csv,
@@ -244,7 +243,7 @@ class TestBoundSampling:
 
 
 class TestSessionAndParallel:
-    def _batch(self, setup, count=4):
+    def _batch(self, setup, count=4, explain=(True, True, True, True)):
         engine, clients, facilities = setup
         venue = engine.venue
         batch = []
@@ -255,17 +254,21 @@ class TestSessionAndParallel:
                     facilities,
                     objective=("minmax", "mindist")[i % 2],
                     label=f"q{i + 1}",
+                    explain=explain[i],
                 )
             )
         return batch
 
     def test_session_explain_mode(self, setup):
         engine, _, _ = setup
-        session = engine.session(explain=True)
+        session = engine.session()
         batch = self._batch(setup)
-        session.run(batch)
-        assert [r.index for r in session.explain_reports] == [1, 2, 3, 4]
-        for report in session.explain_reports:
+        results = session.run(batch)
+        assert [r.explain.label for r in results] == [
+            "q1", "q2", "q3", "q4"
+        ]
+        for result in results:
+            report = result.explain
             assert _attribution_ok(report)
             assert report.cache_entries is not None
 
@@ -279,19 +282,18 @@ class TestSessionAndParallel:
         """
         engine, _, _ = setup
         batch = self._batch(setup)
-        session = engine.session(explain=True)
-        session.run(batch)
-        outcome = run_batch_parallel(engine, batch, 2, explain=True)
-        assert len(outcome.explain_reports) == len(batch)
-        assert [r.index for r in outcome.explain_reports] == [1, 2, 3, 4]
-        for serial, parallel in zip(
-            session.explain_reports, outcome.explain_reports
-        ):
+        serial_results = engine.session().run(batch)
+        outcome = run_batch_parallel(engine, batch, 2)
+        reports = [result.explain for result in outcome.results]
+        assert len(reports) == len(batch)
+        assert [r.label for r in reports] == ["q1", "q2", "q3", "q4"]
+        serial_reports = [result.explain for result in serial_results]
+        for serial, parallel in zip(serial_reports, reports):
             assert parallel.answer == serial.answer
             assert parallel.objective_value == serial.objective_value
             assert _attribution_ok(parallel)
-        first_serial = session.explain_reports[0]
-        first_parallel = outcome.explain_reports[0]
+        first_serial = serial_reports[0]
+        first_parallel = reports[0]
         assert (
             first_parallel.distance_totals
             == first_serial.distance_totals
@@ -303,8 +305,40 @@ class TestSessionAndParallel:
 
     def test_parallel_without_explain_returns_no_reports(self, setup):
         engine, _, _ = setup
-        outcome = run_batch_parallel(engine, self._batch(setup), 2)
-        assert outcome.explain_reports == []
+        batch = self._batch(setup, explain=(False,) * 4)
+        outcome = run_batch_parallel(engine, batch, 2)
+        assert [r.explain for r in outcome.results] == [None] * 4
+
+    def test_request_flag_explains_on_serial_and_parallel(self, setup):
+        """Only requests with ``explain=True`` come back with a report,
+        serially and sharded alike, and each report's per-phase
+        attribution sums exactly to its own result's ledger."""
+        engine, _, _ = setup
+        batch = self._batch(setup, explain=(True, False, True, False))
+        paths = {
+            "serial": engine.session().run(batch),
+            "parallel": run_batch_parallel(engine, batch, 2).results,
+        }
+        for results in paths.values():
+            for result in (results[0], results[2]):
+                ledger = {
+                    key: value
+                    for key, value in (
+                        result.stats.distance.snapshot().items()
+                    )
+                    if value
+                }
+                assert result.explain.attributed_counters() == ledger
+            assert results[1].explain is None
+            assert results[3].explain is None
+        serial, parallel = (
+            paths["serial"][0].explain, paths["parallel"][0].explain
+        )
+        assert parallel.distance_totals == serial.distance_totals
+        assert (
+            parallel.attributed_counters()
+            == serial.attributed_counters()
+        )
 
 
 if __name__ == "__main__":

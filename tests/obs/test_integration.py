@@ -16,7 +16,7 @@ from repro import (
     Tracer,
     observe,
 )
-from repro.obs import contract
+from repro.obs import contract, trace
 
 from ..conftest import build_corridor_venue, facility_split, make_clients
 
@@ -114,8 +114,9 @@ class TestSessionIntegration:
     def test_session_ctor_collectors(self, setup):
         engine, clients, facilities = setup
         tracer, registry = Tracer(), MetricsRegistry()
-        session = QuerySession(engine, trace=tracer, metrics=registry)
-        session.query(clients, facilities)
+        session = QuerySession(engine)
+        with observe(tracer, registry):
+            session.query(clients, facilities)
         assert "session.query" in span_names(tracer)
         assert registry.counter("query.count").value == 1
         assert registry.gauge("cache.entries").value > 0
@@ -123,8 +124,9 @@ class TestSessionIntegration:
     def test_session_query_wraps_solver_span(self, setup):
         engine, clients, facilities = setup
         tracer = Tracer()
-        session = QuerySession(engine, trace=tracer)
-        session.query(clients, facilities, label="probe")
+        session = QuerySession(engine)
+        with trace.use(tracer):
+            session.query(clients, facilities, label="probe")
         records = {r.name: r for r in tracer.sorted_records()}
         solver = records["query.efficient.minmax"]
         parent = records["session.query"]

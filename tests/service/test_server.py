@@ -337,7 +337,6 @@ class TestIntrospection:
             "idle": 0,
             "checked_out": 1,
             "cache_bytes": 0,
-            "evictions": 0,
         }
         assert metrics["ledger_violations"] == []
         assert metrics["ledger"] == before["ledger"]
@@ -505,32 +504,6 @@ class TestQueuedTimeout:
 
 
 class TestPressureEviction:
-    def test_idle_caches_dropped_under_byte_budget(
-        self, office_venue, workload
-    ):
-        """A flush that leaves the resident session over the byte
-        budget drops its memos; the ledger keeps every count."""
-        harness = ServiceHarness(
-            open_venue(office_venue), cache_bytes_budget=1
-        )
-        try:
-            status, payload = harness.request(
-                "POST", "/query", workload[1].to_payload()
-            )
-            assert status == 200
-            assert payload["distance_delta"]["distance_computations"] > 0
-            _, health = harness.request("GET", "/health")
-            _, metrics = harness.request("GET", "/metrics")
-        finally:
-            harness.close()
-        assert health["pool"]["evictions"] == 1
-        counters = metrics["metrics"]["counters"]
-        assert counters["service.pool.evictions"]["value"] == 1
-        # The memos are gone; only empty-table overhead remains.
-        assert harness.service.session.cache_entries == 0
-        assert metrics["ledger"]["distance_computations"] > 0
-        assert metrics["ledger_violations"] == []
-
     def test_no_budget_means_no_eviction(self, office_venue, workload):
         harness = ServiceHarness(open_venue(office_venue))
         try:
@@ -542,12 +515,42 @@ class TestPressureEviction:
             _, metrics = harness.request("GET", "/metrics")
         finally:
             harness.close()
-        assert health["pool"]["evictions"] == 0
         assert health["pool"]["cache_bytes"] > 0
-        assert "service.pool.evictions" not in (
-            metrics["metrics"]["counters"]
-        )
+        assert "cache.evictions" not in metrics["metrics"]["counters"]
         assert harness.service.session.cache_entries > 0
+
+    def test_entry_budget_bounds_resident_session(
+        self, office_venue, workload, oracle
+    ):
+        """``max_cache_entries=N`` holds the resident session to N memo
+        entries across flushes, evicting entry by entry, with a clean
+        ledger and the oracle's answers."""
+        budget = 40
+        harness = ServiceHarness(
+            open_venue(office_venue), max_cache_entries=budget
+        )
+        try:
+            outcomes = [
+                harness.request("POST", "/query", request.to_payload())
+                for request in workload[:6]
+            ]
+            _, metrics = harness.request("GET", "/metrics")
+        finally:
+            harness.close()
+        for (status, payload), want in zip(outcomes, oracle):
+            assert status == 200
+            assert (payload["answer"], payload["objective_value"]) == (
+                want.answer, want.objective
+            )
+        session = harness.service.session
+        assert session.distances.max_cache_entries == budget
+        assert 0 < session.cache_entries <= budget
+        assert metrics["ledger_violations"] == []
+        assert metrics["ledger"]["cache_evictions"] > 0
+        counters = metrics["metrics"]["counters"]
+        assert counters["cache.evictions"]["value"] == (
+            metrics["ledger"]["cache_evictions"]
+        )
 
 
 class TestGracefulShutdown:

@@ -470,7 +470,7 @@ class TestLibraryCorrelation:
             )
             for i in range(4)
         ]
-        session = office_engine.session(keep_records=True)
+        session = office_engine.session()
         tracer = Tracer()
         with trace_module.use(tracer):
             session.run(batch, workers=2)
@@ -491,11 +491,3 @@ class TestLibraryCorrelation:
         assert sorted(
             s.attrs["request_id"] for s in query_spans
         ) == ["x0", "x1", "x2", "x3"]
-        # The session records carry the ids in submission order.
-        records = session.take_records()
-        assert [r.request_id for r in records] == [
-            "x0",
-            "x1",
-            "x2",
-            "x3",
-        ]

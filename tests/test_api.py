@@ -144,6 +144,20 @@ class TestRun:
             assert response.objective_value == want.objective
             assert "distance_computations" in response.distance_delta
 
+    def test_generator_of_requests_gets_every_response(
+        self, facade, office_venue, rooms
+    ):
+        requests = [
+            _request(office_venue, rooms, seed=40 + i, label=f"g{i}")
+            for i in range(3)
+        ]
+        listed = facade.run(requests)
+        generated = facade.run(request for request in requests)
+        assert [r.label for r in generated] == ["g0", "g1", "g2"]
+        assert [(r.answer, r.objective_value) for r in generated] == [
+            (r.answer, r.objective_value) for r in listed
+        ]
+
 
 class TestScopes:
     def test_snapshot_sessions_are_independent(

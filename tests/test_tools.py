@@ -32,6 +32,22 @@ def test_gen_api_docs_runs(tmp_path, monkeypatch):
     assert "repro.index.viptree" in text
 
 
+def test_gen_api_docs_check_flags_a_stale_reference(
+    tmp_path, monkeypatch, capsys
+):
+    """``--check`` passes on a fresh render and fails, printing the
+    diff, once the file is edited by hand."""
+    module = _load_tool("gen_api_docs")
+    out = tmp_path / "API.md"
+    monkeypatch.setattr(module, "OUT", out)
+    assert module.main([]) == 0
+    assert module.main(["--check"]) == 0
+    out.write_text(out.read_text() + "hand-edited line\n")
+    capsys.readouterr()
+    assert module.main(["--check"]) == 1
+    assert "-hand-edited line" in capsys.readouterr().out
+
+
 def test_check_counters_invariants_hold():
     """The canned counter-drift workload reports zero violations."""
     module = _load_tool("check_counters")

@@ -22,11 +22,12 @@ asserts the structural invariants of :class:`QueryStats` /
   ``group_compaction_cost <= 2 * clients_pruned`` (a compaction runs
   once half a group's list is pruned, and pruning a client twice, or
   after it was compacted away, would inflate both);
-* a non-memoising engine reports zero cache hits;
-* session totals equal the sum of the per-query deltas;
+* an engine with a memo budget of 0 reports zero cache hits;
+* session totals equal the sum of the per-query ``result.stats``
+  deltas;
 * a sharded parallel run returns the serial answers, and its merged
   per-worker totals both satisfy the ledger identities and equal the
-  sum of the merged per-query records;
+  sum of the results' per-query deltas;
 * the query service's ledger (its resident session's counters,
   snapshotted at the end of each flush) satisfies the same
   identities, equals the sum of the per-response deltas, and the
@@ -90,8 +91,13 @@ from repro import (  # noqa: E402
     VIPTree,
 )
 from repro.core.baseline import modified_minmax  # noqa: E402
+from repro.core.parallel import run_batch_parallel  # noqa: E402
 from repro.core.queries import OBJECTIVES  # noqa: E402
 from repro.core.problem import IFLSProblem  # noqa: E402
+from repro.core.stats import (  # noqa: E402
+    distance_invariant_violations,
+    merge_snapshots,
+)
 from repro.datasets import small_office, venue_by_name  # noqa: E402
 from repro.datasets.workloads import (  # noqa: E402
     random_facility_sets,
@@ -236,13 +242,13 @@ def run_checks() -> List[str]:
             )
 
     # Baseline: same invariants, and never a memo hit.
-    distances = VIPDistanceEngine(engine.tree, memoize=False)
+    distances = VIPDistanceEngine(engine.tree, max_cache_entries=0)
     problem = IFLSProblem(distances, clients, facilities)
     result = modified_minmax(problem)
     violations += check_query_stats("baseline", result.stats)
     if result.stats.distance.cache_hits != 0:
         violations.append(
-            "baseline: non-memoising engine reported "
+            "baseline: engine with memo budget 0 reported "
             f"{result.stats.distance.cache_hits} cache hits"
         )
 
@@ -259,12 +265,11 @@ def run_checks() -> List[str]:
                     objective=OBJECTIVES[i % len(OBJECTIVES)],
                 )
             )
-        session.run(batch)
+        results = session.run(batch)
         report = session.report()
-        summed = {}
-        for record in report.records:
-            for key, value in record.distance_delta.items():
-                summed[key] = summed.get(key, 0) + value
+        summed = merge_snapshots(
+            result.stats.distance.snapshot() for result in results
+        )
         if summed != report.totals:
             violations.append(
                 f"{label}: per-query deltas do not sum to totals "
@@ -277,12 +282,6 @@ def run_checks() -> List[str]:
             )
 
     # Parallel executor: sharded answers and merged counters.
-    from repro.core.parallel import run_batch_parallel
-    from repro.core.stats import (
-        distance_invariant_violations,
-        merge_snapshots,
-    )
-
     batch = []
     for i in range(5):
         batch_rng = random.Random(0xFA + i)
@@ -302,7 +301,7 @@ def run_checks() -> List[str]:
     for message in distance_invariant_violations(sharded.report.totals):
         violations.append(f"parallel/merged: {message}")
     summed = merge_snapshots(
-        record.distance_delta for record in sharded.report.records
+        result.stats.distance.snapshot() for result in sharded.results
     )
     if summed != sharded.report.totals:
         violations.append(

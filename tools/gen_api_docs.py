@@ -5,15 +5,22 @@ Walks the ``repro`` package, collects public modules, classes, and
 functions with their signatures and docstring summaries, and writes a
 markdown reference.  Run after changing public surfaces::
 
-    python tools/gen_api_docs.py
+    PYTHONPATH=src python tools/gen_api_docs.py
+
+``--check`` renders the reference in memory instead, prints a unified
+diff against ``docs/API.md``, and exits 1 when the file is stale.
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import importlib
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
+from typing import Sequence
 
 import repro
 
@@ -22,6 +29,61 @@ OUT = Path(__file__).resolve().parents[1] / "docs" / "API.md"
 # Hand-maintained prose sections are authored HERE (the output file
 # is generated; edits to docs/API.md are overwritten).
 MIGRATION = """\
+## Migrating to 8.0
+
+8.0 keeps one record per query: its result.  A `QuerySession` keeps
+its warm distance engine and the running ledger, and stores nothing
+per query.  Each query's time and distance delta are its
+`result.stats`, and a request with `explain=True` gets its EXPLAIN
+report as `result.explain` on every session path: serial, sharded,
+and the query service.  Answers and counters are unchanged.  Each name
+8.0 removed, with its replacement:
+
+| Removed in 8.0 | Replacement | Notes |
+|---|---|---|
+| `SessionQueryRecord` (and its exports from `repro` and \
+`repro.core`), `QuerySession.records`, `QuerySession.take_records()`, \
+`SessionReport.records` | the results `session.run(batch)` returns: \
+`result.stats.elapsed_seconds` and `result.stats.distance` \
+(`distance_computations`, `cache_hits`, `snapshot()`) | Label, \
+objective and client count come from the request.  Serially, the \
+deltas sum to `session.report().totals`. |
+| `SessionReport.describe(per_query=True)` | \
+`SessionReport.describe()`; `ifls query --batch N --session-stats` \
+prints the per-query table | |
+| `keep_records=` on `QuerySession`, `IFLSEngine.session`, \
+`Engine.session` and `run_batch_parallel` | none | |
+| `QuerySession(trace=..., metrics=...)` | \
+`with repro.obs.observe(): session.run(batch)`, or \
+`trace.use(tracer)` / `metrics.use(registry)` around the call | \
+`run_batch_parallel` sends worker spans and metrics to the active \
+collectors. |
+| `QuerySession(explain=...)`, `IFLSEngine.session(explain=...)`, \
+`session.explain`, `session.explain_reports` | \
+`QueryRequest(..., explain=True)`; the report is `result.explain` | \
+`IFLSEngine.explain` and `Engine.explain` still explain one query, \
+cold or warm, baseline included. |
+| `run_batch_parallel(..., explain=True)`, \
+`ParallelBatchOutcome.explain_reports`, \
+`ShardOutcome.explain_reports`, `ShardOutcome.records` | \
+`explain=True` on the requests to explain; \
+`outcome.results[i].explain` | A report travels home pickled with its \
+result. |
+| `ExplainReport.index` (and the `index` key of its JSON) | the \
+result's position in its batch | `from_dict` still reads payloads \
+that carry it. |
+| `VIPDistanceEngine(memoize=False)`, `VIPDistanceEngine.memoize` | \
+`VIPDistanceEngine(tree, max_cache_entries=0)` | Same code path: no \
+memo probe, no store.  The cold baseline runs on such an engine. |
+| `ServiceConfig.cache_bytes_budget`, \
+`ifls serve --cache-bytes-budget` | `ServiceConfig.max_cache_entries`, \
+`ifls serve --cache-budget` | Bounds the resident session and every \
+stream session one entry at a time. |
+| `IFLSService.evictions`, the `pool.evictions` field of \
+`GET /health` and `GET /metrics`, the `service.pool.evictions` \
+counter | the `cache.evictions` counter | `pool.sessions` and \
+`pool.cache_bytes` stay. |
+
 ## Migrating to 7.0
 
 7.0 serves every query on one resident warm session.  The coalescer's
@@ -37,7 +99,7 @@ replacement:
 | `repro.service.SessionPool`, `PoolStats`, `Engine.pool(...)`, \
 `SessionPool(size=..., checkout_timeout=...)` and its \
 `checkout()` / `checkin()` / `session()` | \
-`engine.session(max_cache_entries=..., keep_records=False)` | \
+`engine.session(max_cache_entries=...)` | \
 Whoever opens a session owns it; open one per thread that answers. |
 | `SessionPool.ledger()`, `ledger_violations()` | \
 `session.distances.stats.snapshot()` and \
@@ -61,7 +123,7 @@ request. |
 `asyncio.gather(*(coalescer.submit(r) for r in requests))` | |
 | The `service.pool.checkout` span and the `service.pool.sessions` \
 gauge | The `service.batch.flush` span; `GET /health` \
-`pool.sessions` | `service.pool.evictions` stays. |
+`pool.sessions` | |
 | The `GET /metrics` `pool` fields `size`, `created`, `retired` and \
 `queries_answered`; the `service.start` log line's `pool` field | \
 `pool.sessions`; `batcher.queries_answered` | |
@@ -368,7 +430,8 @@ def document_module(name: str, module) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:
+def render() -> str:
+    """The whole reference, as ``docs/API.md`` should read."""
     parts = [
         "# API reference",
         "",
@@ -380,9 +443,41 @@ def main() -> None:
         block = document_module(name, module)
         if block.count("\n") > 2:  # skip empty modules
             parts.append(block)
-    OUT.write_text("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
+
+
+def check() -> int:
+    """Diff ``OUT`` against a fresh render; 1 when they differ."""
+    want = render()
+    have = OUT.read_text() if OUT.exists() else ""
+    if have == want:
+        print(f"{OUT} is up to date")
+        return 0
+    sys.stdout.writelines(
+        difflib.unified_diff(
+            have.splitlines(keepends=True),
+            want.splitlines(keepends=True),
+            fromfile=str(OUT),
+            tofile="rendered",
+        )
+    )
+    print(f"{OUT} is stale; run tools/gen_api_docs.py to regenerate it")
+    return 1
+
+
+def main(argv: Sequence[str] = ()) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="print a diff and exit 1 if docs/API.md is stale",
+    )
+    if parser.parse_args(argv).check:
+        return check()
+    OUT.write_text(render())
     print(f"wrote {OUT}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))
