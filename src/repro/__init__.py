@@ -110,7 +110,7 @@ from .obs import (
     observe,
 )
 
-__version__ = "8.0.0"
+__version__ = "8.1.0"
 
 __all__ = [
     "BACKENDS",

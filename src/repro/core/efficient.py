@@ -31,11 +31,13 @@ only its bookkeeping behind the :class:`ObjectiveState` protocol
 and :mod:`repro.core.maxsum`).  :func:`measured_query` is the timing,
 span and metrics wrapper every efficient objective, the baseline and
 the brute-force oracle answer through: the one place a query's wall
-time and distance-counter delta are taken.
+time and distance-counter delta are taken, and the one place the
+cyclic garbage collector is paused for a solve.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 import time
@@ -637,7 +639,8 @@ def measured_query(
     problem: IFLSProblem,
     solve: Callable[[QueryStats], IFLSResult],
 ) -> IFLSResult:
-    """Run ``solve`` as one measured ``query.<algorithm>.<objective>``.
+    """Run ``solve`` as one measured ``query.<algorithm>.<objective>``,
+    with CPython's cyclic garbage collector paused for the solve.
 
     The one wrapper around every solver (efficient objectives, the
     baseline and the brute-force oracle), and the only code that times
@@ -645,22 +648,39 @@ def measured_query(
     distance engine's counter movement and the elapsed time to
     ``result.stats``, and publishes the query metrics.  ``solve`` gets
     a fresh :class:`QueryStats` to fill; the oracle builds its own.
+
+    The pause is sound because a solve builds no reference cycles:
+    reference counting frees everything it allocates, and the
+    collections its short-lived containers would set off free
+    nothing.  The collector is disabled
+    only if it was enabled, and re-enabled on the way out (also when
+    ``solve`` raises) only by the call that disabled it, so overlapping
+    solves on two threads never keep it off past the solve that turned
+    it off.  A collection that the solve's survivors set off runs after
+    the timer stops, in the caller.
     """
     engine = problem.engine
     stats = QueryStats(
         algorithm=f"{algorithm}-{objective}",
         clients_total=len(problem.clients),
     )
-    started = time.perf_counter()
-    before = engine.stats.snapshot()
-    with _trace.span(
-        f"query.{algorithm}.{objective}",
-        stats=engine.stats,
-        clients=len(problem.clients),
-    ):
-        result = solve(stats)
-    result.stats.add_engine_delta(before, engine.stats.snapshot())
-    result.stats.elapsed_seconds = time.perf_counter() - started
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        started = time.perf_counter()
+        before = engine.stats.snapshot()
+        with _trace.span(
+            f"query.{algorithm}.{objective}",
+            stats=engine.stats,
+            clients=len(problem.clients),
+        ):
+            result = solve(stats)
+        result.stats.add_engine_delta(before, engine.stats.snapshot())
+        result.stats.elapsed_seconds = time.perf_counter() - started
+    finally:
+        if paused:
+            gc.enable()
     publish_query_metrics(result)
     return result
 

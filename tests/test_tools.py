@@ -54,6 +54,34 @@ def test_check_counters_invariants_hold():
     assert module.run_checks() == []
 
 
+def test_check_counters_flags_a_collector_left_off(monkeypatch):
+    """A ``measured_query`` that never turns the cyclic collector back
+    on is reported once per section of the canned workload."""
+    import gc
+    from types import SimpleNamespace
+
+    from repro.core import efficient
+    from repro.index import kernels
+
+    module = _load_tool("check_counters")
+    leaky = SimpleNamespace(
+        isenabled=gc.isenabled, disable=gc.disable, enable=lambda: None
+    )
+    monkeypatch.setattr(efficient, "gc", leaky)
+    try:
+        violations = module.run_checks()
+    finally:
+        gc.enable()
+    sections = ["efficient", "baseline", "session", "parallel", "explain",
+                "service"]
+    if kernels.available():
+        sections.append("kernels")
+    assert violations == [
+        f"{section}: left the cyclic garbage collector off"
+        for section in sections
+    ]
+
+
 def test_check_counters_detects_drift():
     """A deliberately broken counter trips the checker."""
     from repro.core.stats import QueryStats

@@ -51,6 +51,10 @@ asserts the structural invariants of :class:`QueryStats` /
   ``imind_cache_hits`` split legitimately differ: a kernelised miss
   answers its whole door block in one reduction instead of per-pair
   memo probes.)
+* every section (efficient, baseline, session, parallel, EXPLAIN,
+  service flush, kernel-vs-scalar) ends with CPython's cyclic garbage
+  collector on: ``measured_query`` pauses it for each solve and must
+  turn it back on.
 
 Also lints the generated-report invariant: the ``section_*``
 generators in ``src/repro/bench/report.py`` must contain **no numeric
@@ -72,6 +76,7 @@ Usage::
 from __future__ import annotations
 
 import asyncio
+import gc
 import random
 import sys
 from pathlib import Path
@@ -213,6 +218,18 @@ def check_query_stats(label: str, stats: QueryStats) -> List[str]:
     return out
 
 
+def collector_violations(section: str) -> List[str]:
+    """A violation when ``section`` left the cyclic collector off.
+
+    The collector is turned back on after reporting, so the next
+    section is judged on its own.
+    """
+    if gc.isenabled():
+        return []
+    gc.enable()
+    return [f"{section}: left the cyclic garbage collector off"]
+
+
 def run_checks() -> List[str]:
     """Execute the canned workload; return every violation found."""
     violations: List[str] = []
@@ -240,6 +257,7 @@ def run_checks() -> List[str]:
             violations += check_query_stats(
                 f"ablation/{name}/{objective}", result.stats
             )
+    violations += collector_violations("efficient")
 
     # Baseline: same invariants, and never a memo hit.
     distances = VIPDistanceEngine(engine.tree, max_cache_entries=0)
@@ -251,6 +269,7 @@ def run_checks() -> List[str]:
             "baseline: engine with memo budget 0 reported "
             f"{result.stats.distance.cache_hits} cache hits"
         )
+    violations += collector_violations("baseline")
 
     # Warm session: per-query deltas must sum to the engine totals.
     for budget, label in ((None, "session"), (500, "session/bounded")):
@@ -280,6 +299,7 @@ def run_checks() -> List[str]:
                 f"{label}: {report.cache_entries} cache entries exceed "
                 f"budget {budget}"
             )
+    violations += collector_violations("session")
 
     # Parallel executor: sharded answers and merged counters.
     batch = []
@@ -315,6 +335,7 @@ def run_checks() -> List[str]:
             f"{merged_query.queue_pops} > queue_pushes "
             f"{merged_query.queue_pushes}"
         )
+    violations += collector_violations("parallel")
 
     # EXPLAIN attribution: per-phase own deltas == top-level ledger.
     explain_cases = [
@@ -340,6 +361,7 @@ def run_checks() -> List[str]:
                 f"{label}: phase-attributed counters do not sum to "
                 f"the query ledger ({attributed} != {ledger})"
             )
+    violations += collector_violations("explain")
 
     # Query service: six requests through the coalescer's flush path.
     # The ledger /metrics reports must satisfy the same identities as
@@ -398,6 +420,7 @@ def run_checks() -> List[str]:
             "service: per-response deltas do not sum to the ledger "
             f"({summed} != {ledger})"
         )
+    violations += collector_violations("service")
 
     # Kernel-vs-scalar ledger equality (skipped when numpy is absent).
     from repro.index import kernels
@@ -419,6 +442,7 @@ def run_checks() -> List[str]:
                 draw_facilities,
                 objectives,
             )
+        violations += collector_violations("kernels")
     return violations
 
 
