@@ -24,8 +24,8 @@ Quickstart::
 :func:`open_venue` is the facade every surface shares — the library
 API, the ``ifls`` CLI, and the HTTP query service
 (:mod:`repro.service`) all speak the same
-:class:`QueryRequest`/:class:`QueryResponse` pair, and every batch
-executor (:class:`QuerySession`, :func:`run_batch_parallel`) takes
+:class:`QueryRequest`/:class:`QueryResponse` pair, and the batch
+executor (:meth:`QuerySession.run`, sharded with ``workers=N``) takes
 lists of :class:`QueryRequest`.  :class:`IFLSEngine` stays the
 raw-result core engine under :class:`Engine`; see "Migrating to 3.0"
 and "Migrating to 2.0" in ``docs/API.md`` for the names each removed.
@@ -52,7 +52,6 @@ from .core import (
     IndexSnapshot,
     MovingClientSimulator,
     IFLSEngine,
-    ParallelBatchOutcome,
     QueryRequest,
     QueryResponse,
     QuerySession,
@@ -61,7 +60,6 @@ from .core import (
     StreamAnswer,
     StreamStats,
     read_events,
-    run_batch_parallel,
     synthetic_events,
     top_k_ifls,
     write_events,
@@ -110,7 +108,7 @@ from .obs import (
     observe,
 )
 
-__version__ = "8.1.0"
+__version__ = "9.0.0"
 
 __all__ = [
     "BACKENDS",
@@ -136,10 +134,8 @@ __all__ = [
     "IndexSnapshot",
     "MovingClientSimulator",
     "IndoorVenue",
-    "ParallelBatchOutcome",
     "ParallelExecutionError",
     "ProtocolError",
-    "run_batch_parallel",
     "open_venue",
     "http_status_for",
     "MAXSUM",

@@ -458,12 +458,12 @@ def parallel_scaling(
     """Wall-clock of one warm batch, sharded over 1/2/4/8 workers.
 
     The same batch (fresh workload per query, identical across worker
-    counts) is answered through :func:`~repro.core.parallel.run_batch_parallel`
-    at each pool size; answers are asserted identical, so the series
-    measures pure execution scaling.  Speedup is bounded by the
-    machine's core count, which the recording's fingerprint names.
+    counts) is answered by a fresh session's ``run(batch, workers=N)``
+    at each pool size, timed around the call; answers are asserted
+    identical, so the series measures pure execution scaling.  Speedup
+    is bounded by the machine's core count, which the recording's
+    fingerprint names.
     """
-    from ..core.parallel import run_batch_parallel
     from ..core.request import QueryRequest
 
     scale = scale or current_scale()
@@ -484,10 +484,14 @@ def parallel_scaling(
     reference = None
     rows: List[Row] = []
     for workers in worker_counts:
-        outcome = run_batch_parallel(engine, batch, workers)
+        session = engine.session()
+        started = time.perf_counter()
+        results = session.run(batch, workers=workers)
+        elapsed = time.perf_counter() - started
+        answers = [(r.answer, r.objective) for r in results]
         if reference is None:
-            reference = outcome.answers
-        elif outcome.answers != reference:
+            reference = answers
+        elif answers != reference:
             raise RuntimeError(
                 f"parallel answers diverged at workers={workers}"
             )
@@ -499,7 +503,7 @@ def parallel_scaling(
                 parameter="workers",
                 value=workers,
                 algorithm="parallel",
-                time_seconds=outcome.elapsed_seconds,
+                time_seconds=elapsed,
                 memory_mb=0.0,
                 objective=None,
                 clients=count,

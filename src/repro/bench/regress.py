@@ -158,7 +158,6 @@ def _suite_small() -> Dict[str, MetricSample]:
     """
     import random
 
-    from ..core.parallel import run_batch_parallel
     from ..core.queries import IFLSEngine
     from ..core.request import QueryRequest
     from ..core.stats import merge_query_stats
@@ -213,8 +212,10 @@ def _suite_small() -> Dict[str, MetricSample]:
     # -- parallel: same batch on a 2-worker pool.  Only QueryStats
     # counters are gated: they are cache-warmth independent, whereas
     # the distance-cache split varies with shard scheduling.
-    outcome = run_batch_parallel(engine, batch, workers=2)
-    stats = outcome.query_stats
+    started = time.perf_counter()
+    results = engine.session().run(batch, workers=2)
+    parallel_seconds = time.perf_counter() - started
+    stats = merge_query_stats(result.stats for result in results)
     metrics["parallel.queue_pops"] = (float(stats.queue_pops), EXACT)
     metrics["parallel.facilities_retrieved"] = (
         float(stats.facilities_retrieved), EXACT,
@@ -223,9 +224,9 @@ def _suite_small() -> Dict[str, MetricSample]:
         float(stats.clients_pruned), EXACT,
     )
     metrics["parallel.answer_checksum"] = (
-        float(_answer_checksum(outcome.results)), EXACT,
+        float(_answer_checksum(results)), EXACT,
     )
-    metrics["parallel.seconds"] = (outcome.elapsed_seconds, WALL)
+    metrics["parallel.seconds"] = (parallel_seconds, WALL)
 
     # -- fig5-small: efficient vs baseline, cold, on the CPH venue.
     venue = venue_by_name("CPH")

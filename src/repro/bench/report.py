@@ -651,10 +651,11 @@ def section_parallel(provider: DataProvider) -> str:
     lines = [
         "## Parallel scaling — sharded batch executor",
         "",
-        "One warm batch answered through `run_batch_parallel` at each",
-        "pool size (identical answers asserted).  Speedup is bounded",
-        "by the recording machine's cores, so none is printed for more",
-        "workers than its fingerprint's CPU count.",
+        "One warm batch answered by `session.run(batch, workers=N)`",
+        "on a fresh session at each pool size (identical answers",
+        "asserted).  Speedup is bounded by the recording machine's",
+        "cores, so none is printed for more workers than its",
+        "fingerprint's CPU count.",
         "",
     ]
     if not rows:

@@ -16,11 +16,7 @@ from .efficient import (
 from .maxsum import efficient_maxsum
 from .moving import MovingClientSimulator, WALKING_SPEED
 from .mindist import efficient_mindist
-from .parallel import (
-    IndexSnapshot,
-    ParallelBatchOutcome,
-    run_batch_parallel,
-)
+from .parallel import IndexSnapshot
 from .problem import IFLSProblem
 from .request import QueryRequest, QueryResponse
 from .queries import (
@@ -73,10 +69,8 @@ __all__ = [
     "IFLSEngine",
     "IFLSProblem",
     "IndexSnapshot",
-    "ParallelBatchOutcome",
     "QueryRequest",
     "QueryResponse",
-    "run_batch_parallel",
     "distance_invariant_violations",
     "merge_query_stats",
     "merge_snapshots",

@@ -1,11 +1,11 @@
 """The query value: :class:`QueryRequest` / :class:`QueryResponse`.
 
 :class:`QueryRequest` is the one per-query value every surface and
-executor takes: the library API (:meth:`repro.api.Engine.query` /
-:meth:`~repro.api.Engine.run`), :meth:`QuerySession.run
-<repro.core.session.QuerySession.run>` and the process-pool shards of
-:func:`~repro.core.parallel.run_batch_parallel`, the CLI, and the wire
-protocol of the query service (:mod:`repro.service`).
+the batch executor take: the library API
+(:meth:`repro.api.Engine.query` / :meth:`~repro.api.Engine.run`),
+:meth:`QuerySession.run <repro.core.session.QuerySession.run>` and its
+process-pool shards, the CLI, and the wire protocol of the query
+service (:mod:`repro.service`).
 :class:`QueryResponse` is the matching answer envelope.
 
 Execution-scope knobs (cache budgets, worker counts, record keeping)
@@ -17,9 +17,10 @@ Wire format
 ``QueryRequest.to_payload()`` / ``from_payload()`` round-trip through
 plain JSON-compatible dictionaries.  Clients use the workload schema of
 :mod:`repro.indoor.io` (``{"id", "location": [x, y, level],
-"partition"}``); facility sets are sorted id lists; the boolean
-fields (``prune_clients``, ``group_by_partition``, ``explain``) take
-JSON ``true``/``false`` only.  Decoding raises
+"partition"}``); facility sets are sorted arrays of integer ids, and
+nothing else decodes as one; the boolean fields (``prune_clients``,
+``group_by_partition``, ``explain``) take JSON ``true``/``false``
+only.  Decoding raises
 :class:`~repro.errors.ProtocolError` on malformed payloads so the
 service maps them to HTTP 400 without guessing; keys it does not know
 are ignored.
@@ -59,6 +60,34 @@ def _flag(payload: Dict[str, Any], name: str, default: bool) -> bool:
     return value
 
 
+def _facility_sets(payload: Dict[str, Any]) -> FacilitySets:
+    """The ``existing`` / ``candidates`` wire fields: each a JSON array
+    of integer ids, or absent.
+
+    Iterating a string would read ``"12"`` as ids 1 and 2, and an
+    object by its keys, so anything else, or a bool, float or string
+    element, is a :class:`ProtocolError`; so are overlapping sets.
+    """
+    sets = []
+    for name in ("existing", "candidates"):
+        ids = payload.get(name, [])
+        if not isinstance(ids, list):
+            raise ProtocolError(
+                f"{name} must be an array of integers, got "
+                f"{type(ids).__name__}"
+            )
+        for item in ids:
+            if type(item) is not int:
+                raise ProtocolError(
+                    f"{name} must hold integers only, got {item!r}"
+                )
+        sets.append(frozenset(ids))
+    try:
+        return FacilitySets(*sets)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class QueryRequest:
     """Everything one IFLS query asks for, in one place.
@@ -74,7 +103,7 @@ class QueryRequest:
     ``timeout_seconds`` is honoured by the query service (HTTP 504 when
     exceeded); library executors ignore it.  ``explain`` runs the
     query under the EXPLAIN profiler wherever a session answers it
-    (``QuerySession.run``, ``run_batch_parallel``, the query
+    (``QuerySession.run`` on every worker count, the query
     service): the :class:`~repro.obs.explain.ExplainReport` comes back
     as ``result.explain``, and the service keeps it retrievable under
     ``GET /explain/<id>``.  :meth:`repro.api.Engine.query` and
@@ -195,14 +224,7 @@ class QueryRequest:
                 )
                 for entry in payload.get("clients", ())
             )
-            facilities = FacilitySets(
-                frozenset(
-                    int(p) for p in payload.get("existing", ())
-                ),
-                frozenset(
-                    int(p) for p in payload.get("candidates", ())
-                ),
-            )
+            facilities = _facility_sets(payload)
             timeout = payload.get("timeout_seconds")
             return cls(
                 clients=clients,

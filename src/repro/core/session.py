@@ -41,9 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from ..errors import QueryError
+from ..errors import ParallelExecutionError, QueryError
 from ..indoor.entities import Client, FacilitySets
-from ..index.distance import VIPDistanceEngine
+from ..index.distance import DistanceStats, VIPDistanceEngine
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..obs.explain import explain_query
@@ -52,10 +52,11 @@ from .problem import IFLSProblem
 from .queries import EFFICIENT, EFFICIENT_SOLVERS, MINMAX, IFLSEngine
 from .request import QueryRequest
 from .result import IFLSResult
+from .stats import distance_invariant_violations
 
 
 def check_batch(batch: Iterable[Any]) -> List[QueryRequest]:
-    """The batch executors' admission check, run before any work.
+    """The batch executor's admission check, run before any work.
 
     Every item must be a :class:`~repro.core.request.QueryRequest` for
     the ``"efficient"`` algorithm — sessions answer through the
@@ -255,18 +256,22 @@ class QuerySession:
         ``batch`` items are :class:`~repro.core.request.QueryRequest`
         objects for the ``"efficient"`` algorithm; anything else raises
         :class:`QueryError` before any query runs (:func:`check_batch`).
+        A request without a label of its own is named ``q<n>`` after
+        the session's running count, whatever the worker count.
 
         ``workers=1`` (default) answers serially on this session's own
-        warm engine.  ``workers > 1`` shards the batch across a process
-        pool (:func:`~repro.core.parallel.run_batch_parallel`): each
-        worker runs its own warm session over the shared venue +
-        VIP-tree, and the pool's merged distance counters are added to
-        *this* session's ledger, so :meth:`report` keeps describing
-        everything the session has answered.  Answers are identical
-        for every worker count; only cache-warmth accounting differs.
-        Note the workers' memo tables die with the pool —
-        ``report().cache_entries`` keeps reflecting this process's own
-        engine only.
+        warm engine.  ``workers > 1`` shards a batch of two or more
+        queries across a process pool: each worker runs its own warm
+        session over the shared venue + VIP-tree, and each result's
+        ``stats.distance`` is added to *this* session's ledger, so
+        :meth:`report` keeps describing everything the session has
+        answered.  Answers are identical for every worker count; only
+        cache-warmth accounting differs.  The workers' memo tables die
+        with the pool, so ``report().cache_entries`` keeps reflecting
+        this process's own engine only.  Raises
+        :class:`~repro.errors.ParallelExecutionError` when a shard
+        raises, a worker dies, or the summed deltas break a ledger
+        identity.
         """
         if workers < 1:
             raise QueryError(f"workers must be >= 1, got {workers}")
@@ -276,18 +281,27 @@ class QuerySession:
                 self.answer(request, f"q{self.queries_answered + 1}")
                 for request in batch
             ]
-        from ..index.distance import DistanceStats
-        from .parallel import run_batch_parallel
+        from .parallel import _run_batch_sharded
 
-        outcome = run_batch_parallel(
+        results = _run_batch_sharded(
             self.engine,
             batch,
             workers,
-            max_cache_entries=self.distances.max_cache_entries,
+            self.distances.max_cache_entries,
+            self.queries_answered,
         )
+        delta = DistanceStats()
+        for result in results:
+            delta.merge(result.stats.distance)
+        violations = distance_invariant_violations(delta.snapshot())
+        if violations:
+            raise ParallelExecutionError(
+                "sharded counters broke ledger identities: "
+                + "; ".join(violations)
+            )
+        self.distances.stats.merge(delta)
         self.queries_answered += len(batch)
-        self.distances.stats.merge(DistanceStats(**outcome.report.totals))
-        return outcome.results
+        return results
 
     # ------------------------------------------------------------------
     # Cache statistics and lifecycle

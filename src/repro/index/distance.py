@@ -73,6 +73,10 @@ INFINITY = float("inf")
 #: per-call overhead costs more than Python float adds.
 ARRAY_CLIENTS = 32
 
+#: What :meth:`VIPDistanceEngine.cache_bytes` charges per memo entry:
+#: every key is a two-int tuple and every value a float.
+_ENTRY_BYTES = sys.getsizeof((0, 0)) + sys.getsizeof(0.0)
+
 
 @dataclass
 class DistanceStats:
@@ -225,23 +229,17 @@ class VIPDistanceEngine:
         )
 
     def cache_bytes(self) -> int:
-        """Approximate memory held by the memo tables (keys + values +
-        dict overhead; shared key/value objects counted once each)."""
-        total = 0
-        seen: set = set()
-        for cache in (self._imind_pp, self._imind_node, self._d2d_cache):
-            total += sys.getsizeof(cache)
-            for key, value in cache.items():
-                # CPython interns small ints and reuses float objects
-                # across tables; dedupe by identity so a shared object
-                # is charged once, as the docstring promises.
-                if id(key) not in seen:
-                    seen.add(id(key))
-                    total += sys.getsizeof(key)
-                if id(value) not in seen:
-                    seen.add(id(value))
-                    total += sys.getsizeof(value)
-        return total
+        """Approximate memory held by the memo tables: each table's own
+        size plus one two-int key tuple and one float per entry.
+
+        Computed from the table sizes without walking the entries, so
+        it is O(1) and safe to read while a solve grows the tables.  A
+        float object that two tables share is charged once per entry.
+        """
+        tables = (self._imind_pp, self._imind_node, self._d2d_cache)
+        return sum(sys.getsizeof(table) for table in tables) + (
+            self.cache_entries() * _ENTRY_BYTES
+        )
 
     def clear_caches(self) -> None:
         """Drop every memoised distance (venue-edit invalidation).

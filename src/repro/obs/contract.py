@@ -127,7 +127,8 @@ SPANS: Dict[str, SpanSpec] = _spans(
     ),
     SpanSpec(
         "parallel.run",
-        "once per run_batch_parallel call with workers > 1",
+        "once per sharded QuerySession.run call (workers > 1, more "
+        "than one query)",
     ),
     SpanSpec(
         "parallel.prepare",
@@ -142,8 +143,8 @@ SPANS: Dict[str, SpanSpec] = _spans(
     ),
     SpanSpec(
         "parallel.merge",
-        "child of parallel.run: result reassembly and counter/metric "
-        "merging after all shards returned",
+        "child of parallel.run: reassembly of the results in "
+        "submission order after all shards returned",
     ),
     SpanSpec(
         "explain.query",
@@ -231,7 +232,8 @@ METRICS: Dict[str, MetricSpec] = _metrics(
     ),
     MetricSpec(
         "parallel.batches", "counter", "batches",
-        "every run_batch_parallel call with workers > 1",
+        "every sharded QuerySession.run call (workers > 1, more than "
+        "one query)",
     ),
     MetricSpec(
         "parallel.shards", "counter", "shards",
@@ -253,7 +255,7 @@ METRICS: Dict[str, MetricSpec] = _metrics(
     ),
     MetricSpec(
         "parallel.merge.seconds", "histogram", "seconds",
-        "per-batch result reassembly and statistics merge time",
+        "per-batch result reassembly time",
     ),
     MetricSpec(
         "explain.reports", "counter", "reports",

@@ -80,6 +80,7 @@ DISTANCE_COUNTER_KEYS = (
     "idist_calls",
     "single_door_shortcuts",
     "cache_evictions",
+    "kernel_batches",
 )
 
 EXPLAIN_CSV_COLUMNS = (

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.request import QueryRequest
+from ..core.request import QueryRequest, _facility_sets, _flag
 from ..core.stream import ClientEvent
 from ..errors import ProtocolError, http_status_for
 from ..indoor.entities import FacilitySets
@@ -131,29 +131,21 @@ def parse_stream_open_payload(
 ) -> Tuple[FacilitySets, bool, str]:
     """Decode one ``POST /stream`` body.
 
-    Returns ``(facilities, incremental, label)``; the facility sets use
-    the query wire spelling (sorted id arrays under ``existing`` /
-    ``candidates``).
+    Returns ``(facilities, incremental, label)``; the facility sets and
+    the ``incremental`` flag use the query wire spelling (integer id
+    arrays under ``existing`` / ``candidates``, JSON ``true`` /
+    ``false``).
     """
     if not isinstance(payload, dict):
         raise ProtocolError(
             f"stream payload must be an object, got "
             f"{type(payload).__name__}"
         )
-    try:
-        facilities = FacilitySets(
-            frozenset(int(p) for p in payload.get("existing", ())),
-            frozenset(int(p) for p in payload.get("candidates", ())),
-        )
-        return (
-            facilities,
-            bool(payload.get("incremental", True)),
-            str(payload.get("label", "")),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ProtocolError(
-            f"malformed stream payload: {exc}"
-        ) from exc
+    return (
+        _facility_sets(payload),
+        _flag(payload, "incremental", True),
+        str(payload.get("label", "")),
+    )
 
 
 def parse_events_payload(payload: Any) -> List[ClientEvent]:

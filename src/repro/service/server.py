@@ -562,7 +562,7 @@ class IFLSService:
     def _validate_for_service(self, request: QueryRequest) -> None:
         """Reject a request the flush would fail on *before* it joins
         one (a bad request must never fail its co-batched strangers):
-        the executors' batch check, then the IFLS input rules against
+        the batch executor's check, then the IFLS input rules against
         the resident venue."""
         check_batch([request])
         check_query_inputs(
@@ -759,20 +759,16 @@ class IFLSService:
     def _session_payload(self) -> Dict[str, Any]:
         """Gauges of the resident session (the ``pool`` block).
 
-        ``cache_bytes`` iterates every memo table, which raises if a
-        flush grows one meanwhile, so it is read only while no flush
-        holds the session and reads 0 otherwise: it counts an idle
-        session's bytes.  Call on the service's event loop, where the
-        coalescer's in-flight count changes.
+        ``cache_bytes`` is computed from the memo tables' sizes, so it
+        is read during a flush too.  Call on the service's event loop,
+        where the coalescer's in-flight count changes.
         """
         busy = self.coalescer.flushing
         return {
             "sessions": 1,
             "idle": 0 if busy else 1,
             "checked_out": 1 if busy else 0,
-            "cache_bytes": (
-                0 if busy else self.session.distances.cache_bytes()
-            ),
+            "cache_bytes": self.session.distances.cache_bytes(),
         }
 
     def health_payload(self) -> Dict[str, Any]:

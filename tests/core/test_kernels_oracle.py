@@ -20,7 +20,6 @@ from repro import (  # noqa: E402
     FacilitySets,
     IFLSEngine,
     QueryRequest,
-    run_batch_parallel,
 )
 from repro.datasets import (  # noqa: E402
     random_facility_sets,
@@ -156,10 +155,10 @@ class TestSessionOracle:
     def test_parallel_bit_identical(self, engines):
         venue, kernel, scalar = engines
         batch = self._batch(venue)
-        got = run_batch_parallel(kernel, batch, 2)
+        got = kernel.session().run(batch, workers=2)
         want = scalar.session().run(batch)
-        assert len(got.results) == len(batch)
-        for mine, oracle in zip(got.results, want):
+        assert len(got) == len(batch)
+        for mine, oracle in zip(got, want):
             _assert_same_result(mine, oracle)
 
 

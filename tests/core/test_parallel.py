@@ -1,10 +1,11 @@
-"""Sharded parallel batch executor: equivalence and stat merging.
+"""Sharded batches: ``QuerySession.run(batch, workers=N)``.
 
 Sharding a batch across a process pool must never change an answer —
-distances depend only on venue geometry — and the merged per-worker
-counters must satisfy the same ledger invariants as a single engine's.
-``workers=1`` must be the serial :class:`QuerySession` path itself, so
-its output (answers *and* counters) is identical byte for byte.
+distances depend only on venue geometry — nor the label an unlabelled
+request gets, and the session ledger must grow by exactly the summed
+per-result deltas, which satisfy the same ledger invariants as a
+single engine's.  ``workers=1`` is the serial path itself, so its
+output (answers *and* counters) is identical byte for byte.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro import (
     IFLSEngine,
     ParallelExecutionError,
     QueryRequest,
-    run_batch_parallel,
+    observe,
 )
 from repro.core import parallel as parallel_module
 from repro.core.parallel import IndexSnapshot, shard_batch
@@ -47,7 +48,8 @@ def office():
     return venue, engine, rooms
 
 
-def _batch(venue, rooms, queries=6, clients=30, seed_base=0):
+def _batch(venue, rooms, queries=6, clients=30, seed_base=0,
+           explain=False):
     batch = []
     for i in range(queries):
         batch.append(
@@ -55,6 +57,7 @@ def _batch(venue, rooms, queries=6, clients=30, seed_base=0):
                 make_clients(venue, clients, seed=seed_base + i),
                 facility_split(rooms, 4, 8, seed=seed_base + i),
                 objective=("minmax", "mindist", "maxsum")[i % 3],
+                explain=explain,
             )
         )
     return batch
@@ -83,18 +86,30 @@ class TestShardBatch:
             shard_batch([1], 0)
 
 
+def _never_shard(*_args):
+    raise AssertionError("workers=1 must not reach the sharding helper")
+
+
 class TestSerialEquivalence:
-    def test_workers_one_is_the_serial_session(self, office):
+    def test_workers_one_is_the_serial_session(self, office, monkeypatch):
+        """``workers=1`` answers on the session's own warm engine: no
+        pool, no ``parallel.run`` span, and the same answers, counters
+        and memo as a plain serial run."""
         venue, engine, rooms = office
         batch = _batch(venue, rooms)
+        serial = engine.session()
+        serial_results = serial.run(batch)
+        monkeypatch.setattr(
+            parallel_module, "_run_batch_sharded", _never_shard
+        )
         session = engine.session()
-        serial_results = session.run(batch)
-        outcome = run_batch_parallel(engine, batch, 1)
-        assert _payload(outcome.results) == _payload(serial_results)
-        # Identical counters too: same code path, fresh warm session.
-        assert outcome.report.totals == session.report().totals
-        assert outcome.start_method == "serial"
-        assert outcome.workers == 1
+        with observe() as (tracer, _):
+            results = session.run(batch, workers=1)
+        assert _payload(results) == _payload(serial_results)
+        assert session.report().totals == serial.report().totals
+        assert session.report().cache_sizes == serial.report().cache_sizes
+        assert session.report().queries == len(batch)
+        assert not [r for r in tracer.records if r.name == "parallel.run"]
 
     def test_session_run_workers_one_unchanged(self, office):
         venue, engine, rooms = office
@@ -109,54 +124,75 @@ class TestSerialEquivalence:
     def test_sharded_answers_identical(self, office, workers):
         venue, engine, rooms = office
         batch = _batch(venue, rooms, queries=7)  # odd shard sizes
-        serial = run_batch_parallel(engine, batch, 1)
-        sharded = run_batch_parallel(engine, batch, workers)
-        assert _payload(sharded.results) == _payload(serial.results)
-        assert sharded.workers == workers
+        serial = engine.session().run(batch)
+        with observe() as (_, registry):
+            sharded = engine.session().run(batch, workers=workers)
+        assert _payload(sharded) == _payload(serial)
+        assert registry.gauge("parallel.workers").value == workers
 
     def test_more_workers_than_queries(self, office):
         venue, engine, rooms = office
         batch = _batch(venue, rooms, queries=3)
-        serial = run_batch_parallel(engine, batch, 1)
-        sharded = run_batch_parallel(engine, batch, 10)
-        assert _payload(sharded.results) == _payload(serial.results)
-        assert sharded.workers == 3  # capped at the batch size
+        serial = engine.session().run(batch)
+        with observe() as (_, registry):
+            sharded = engine.session().run(batch, workers=10)
+        assert _payload(sharded) == _payload(serial)
+        # Capped at the batch size.
+        assert registry.gauge("parallel.workers").value == 3
 
     def test_empty_batch(self, office):
         _, engine, _ = office
-        outcome = run_batch_parallel(engine, [], 4)
-        assert outcome.results == []
-        assert outcome.report.queries == 0
-        assert engine.session().run([], workers=4) == []
+        session = engine.session()
+        assert session.run([], workers=4) == []
+        assert session.report().queries == 0
+
+    def test_sharded_labels_continue_the_session_count(self, office):
+        """An unlabelled request is named after the session's running
+        count on both branches, and the sharded ledger grows by exactly
+        the summed per-result deltas."""
+        venue, engine, rooms = office
+        warmup = _batch(venue, rooms, queries=2, seed_base=40)
+        batch = _batch(venue, rooms, queries=4, explain=True)
+        serial, sharded = engine.session(), engine.session()
+        serial.run(warmup)
+        sharded.run(warmup)
+        before = sharded.report().totals
+        want = serial.run(batch, workers=1)
+        got = sharded.run(batch, workers=2)
+        assert _payload(got) == _payload(want)
+        labels = [result.explain.label for result in got]
+        assert labels == [result.explain.label for result in want]
+        assert labels == ["q3", "q4", "q5", "q6"]
+        delta = merge_snapshots(r.stats.distance.snapshot() for r in got)
+        assert sharded.report().totals == merge_snapshots([before, delta])
+        assert sharded.report().queries == 6
 
     @pytest.mark.skipif(not HAVE_FORK, reason="fork not available")
-    def test_spawn_matches_fork(self, office):
+    def test_spawn_matches_fork(self, office, monkeypatch):
         venue, engine, rooms = office
         batch = _batch(venue, rooms, queries=4)
-        serial = run_batch_parallel(engine, batch, 1)
-        spawned = run_batch_parallel(
-            engine, batch, 2, start_method="spawn"
+        serial = engine.session().run(batch)
+        monkeypatch.setattr(
+            parallel_module, "default_start_method", lambda: "spawn"
         )
-        assert _payload(spawned.results) == _payload(serial.results)
-        assert spawned.start_method == "spawn"
-
-    def test_unknown_start_method(self, office):
-        venue, engine, rooms = office
-        with pytest.raises(ParallelExecutionError):
-            run_batch_parallel(
-                engine, _batch(venue, rooms, queries=2), 2,
-                start_method="threads",
-            )
+        with observe() as (tracer, _):
+            spawned = engine.session().run(batch, workers=2)
+        assert _payload(spawned) == _payload(serial)
+        [run_span] = [
+            r for r in tracer.records if r.name == "parallel.run"
+        ]
+        assert run_span.attrs["method"] == "spawn"
 
 
 class TestMergedStats:
     def test_merged_invariants_hold(self, office):
         venue, engine, rooms = office
         batch = _batch(venue, rooms, queries=7)
-        outcome = run_batch_parallel(engine, batch, 3)
-        totals = outcome.report.totals
+        session = engine.session()
+        results = session.run(batch, workers=3)
+        totals = session.report().totals
         assert distance_invariant_violations(totals) == []
-        stats = outcome.query_stats
+        stats = merge_query_stats(r.stats for r in results)
         assert stats.queue_pops <= stats.queue_pushes
         assert stats.clients_pruned <= stats.clients_total
         assert stats.clients_total == sum(len(q.clients) for q in batch)
@@ -164,23 +200,24 @@ class TestMergedStats:
     def test_records_cover_batch_in_submission_order(self, office):
         venue, engine, rooms = office
         batch = _batch(venue, rooms, queries=7)
-        outcome = run_batch_parallel(engine, batch, 3)
-        report = outcome.report
+        session = engine.session()
+        results = session.run(batch, workers=3)
+        report = session.report()
         assert report.queries == len(batch)
-        assert [r.stats.algorithm for r in outcome.results] == [
+        assert [r.stats.algorithm for r in results] == [
             f"efficient-{q.objective}" for q in batch
         ]
         summed = merge_snapshots(
-            r.stats.distance.snapshot() for r in outcome.results
+            r.stats.distance.snapshot() for r in results
         )
         assert summed == report.totals
 
     def test_merged_answer_fields_match_results(self, office):
         venue, engine, rooms = office
         batch = _batch(venue, rooms, queries=5)
-        outcome = run_batch_parallel(engine, batch, 2)
-        serial = run_batch_parallel(engine, batch, 1)
-        for merged, result in zip(outcome.results, serial.results):
+        sharded = engine.session().run(batch, workers=2)
+        serial = engine.session().run(batch)
+        for merged, result in zip(sharded, serial):
             assert merged.answer == result.answer
             assert merged.objective == result.objective
 
@@ -206,16 +243,31 @@ class TestMergedStats:
         with pytest.raises(QueryError):
             engine.session().run(_batch(venue, rooms, 2), workers=0)
 
+    def test_broken_ledger_identity_raises(self, office, monkeypatch):
+        """Summed deltas that break a ledger identity are refused, and
+        the session's ledger and count stay as they were."""
+        venue, engine, rooms = office
+        batch = _batch(venue, rooms, queries=2)
+        results = engine.session().run(batch)
+        results[0].stats.distance.distance_computations += 5
+        monkeypatch.setattr(
+            parallel_module,
+            "_run_batch_sharded",
+            lambda *_args: results,
+        )
+        session = engine.session()
+        with pytest.raises(ParallelExecutionError, match="ledger"):
+            session.run(batch, workers=2)
+        assert session.report().queries == 0
+        assert not any(session.report().totals.values())
+
     def test_cache_budget_applies_per_worker(self, office):
         venue, engine, rooms = office
         batch = _batch(venue, rooms, queries=6)
-        outcome = run_batch_parallel(
-            engine, batch, 2, max_cache_entries=200
-        )
-        assert outcome.report.max_cache_entries == 200
-        # Pool footprint: at most budget entries per worker.
-        assert outcome.report.cache_entries <= 200 * outcome.workers
-        assert outcome.report.totals["cache_evictions"] > 0
+        session = engine.session(max_cache_entries=200)
+        session.run(batch, workers=2)
+        # Each worker session evicts under the forwarded budget.
+        assert session.report().totals["cache_evictions"] > 0
 
 
 class TestMergeHelpers:
@@ -253,9 +305,9 @@ class TestSnapshot:
         batch = _batch(venue, rooms, queries=3)
         snapshot = IndexSnapshot.from_engine(engine)
         restored = IndexSnapshot.from_bytes(snapshot.to_bytes()).restore()
-        want = run_batch_parallel(engine, batch, 1)
-        got = run_batch_parallel(restored, batch, 1)
-        assert _payload(got.results) == _payload(want.results)
+        want = engine.session().run(batch)
+        got = restored.session().run(batch)
+        assert _payload(got) == _payload(want)
 
     def test_from_bytes_rejects_foreign_payload(self):
         import pickle
@@ -264,7 +316,7 @@ class TestSnapshot:
             IndexSnapshot.from_bytes(pickle.dumps({"not": "a snapshot"}))
 
 
-def _exit_hard(shard):
+def _exit_hard(*_args):
     """Simulates a worker dying mid-shard (inherited under fork)."""
     os._exit(17)
 
@@ -278,7 +330,7 @@ class TestFailurePaths:
         )
         batch = _batch(venue, rooms, queries=3) + [bad]
         with pytest.raises(ParallelExecutionError) as err:
-            run_batch_parallel(engine, batch, 2)
+            engine.session().run(batch, workers=2)
         assert "shard" in str(err.value)
         assert isinstance(err.value.__cause__, QueryError)
 
@@ -289,8 +341,5 @@ class TestFailurePaths:
         venue, engine, rooms = office
         monkeypatch.setattr(parallel_module, "_run_shard", _exit_hard)
         with pytest.raises(ParallelExecutionError) as err:
-            run_batch_parallel(
-                engine, _batch(venue, rooms, queries=4), 2,
-                start_method="fork",
-            )
+            engine.session().run(_batch(venue, rooms, queries=4), workers=2)
         assert "failed" in str(err.value)

@@ -8,7 +8,6 @@ from repro import (
     QueryRequest,
     QueryResponse,
     TOP_DOWN,
-    run_batch_parallel,
 )
 from repro.core import parallel as parallel_module
 from repro.datasets import small_office
@@ -139,6 +138,27 @@ class TestWireCodec:
             explain=True,
         )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("existing", "12"),
+            ("candidates", "345"),
+            ("candidates", {"3": 1}),
+            ("candidates", None),
+            ("existing", [1.0]),
+            ("existing", [True]),
+            ("candidates", ["3"]),
+        ],
+    )
+    def test_facility_ids_take_integer_arrays_only(
+        self, office, field, value
+    ):
+        venue, _engine, rooms = office
+        payload = _request(venue, rooms).to_payload()
+        payload[field] = value
+        with pytest.raises(ProtocolError, match=field):
+            QueryRequest.from_payload(payload)
+
     def test_use_kernels_is_an_unknown_key(self, office):
         """The kernel choice is the engine's: a payload that still
         names it decodes as if it did not."""
@@ -190,16 +210,12 @@ def _no_pool(*_args, **_kwargs):
 
 
 def _assert_rejected_before_any_pool(engine, batch, monkeypatch):
-    """Both batch executors refuse ``batch`` with a plain QueryError
+    """The batch executor refuses ``batch`` with a plain QueryError
     (not a shard's ParallelExecutionError) before a pool starts."""
     monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _no_pool)
-    for run in (
-        lambda: engine.session().run(batch, workers=2),
-        lambda: run_batch_parallel(engine, batch, 2),
-    ):
-        with pytest.raises(QueryError) as err:
-            run()
-        assert type(err.value) is QueryError
+    with pytest.raises(QueryError) as err:
+        engine.session().run(batch, workers=2)
+    assert type(err.value) is QueryError
 
 
 class TestExecutorBridges:

@@ -336,9 +336,12 @@ class TestTinyBudgets:
 
 
 class TestCacheBytes:
-    """Regression: shared key/value objects are charged once."""
+    """``cache_bytes`` charges each table plus one two-int key tuple and
+    one float per entry, without walking the entries."""
 
     def test_shared_value_counted_once(self, setup):
+        """A float object that three tables share is counted once per
+        entry that holds it: the formula does not look for sharing."""
         _, setup_engine, _ = setup
         engine = VIPDistanceEngine(setup_engine.tree)
         value = 123.456  # one float object referenced by all tables
@@ -348,11 +351,10 @@ class TestCacheBytes:
         tables = (
             engine._imind_pp, engine._imind_node, engine._d2d_cache
         )
-        naive = sum(sys.getsizeof(t) for t in tables)
-        for table in tables:
-            for key, val in table.items():
-                naive += sys.getsizeof(key) + sys.getsizeof(val)
-        assert engine.cache_bytes() == naive - 2 * sys.getsizeof(value)
+        per_entry = sys.getsizeof((1, 2)) + sys.getsizeof(value)
+        assert engine.cache_bytes() == (
+            sum(sys.getsizeof(t) for t in tables) + 3 * per_entry
+        )
 
     def test_distinct_objects_all_counted(self, setup):
         _, setup_engine, _ = setup
@@ -367,6 +369,35 @@ class TestCacheBytes:
             for key, val in table.items():
                 expected += sys.getsizeof(key) + sys.getsizeof(val)
         assert engine.cache_bytes() == expected
+
+    def test_tables_plus_key_tuple_and_float_per_entry(self, setup):
+        from repro import IFLSEngine, QueryRequest
+        from repro.datasets import random_facility_sets
+
+        venue, setup_engine, _ = setup
+        session = IFLSEngine(venue, tree=setup_engine.tree).session()
+        rng = random.Random(17)
+        session.run(
+            [
+                QueryRequest(
+                    tuple(uniform_clients(venue, 30, rng)),
+                    random_facility_sets(venue, 3, 6, rng),
+                    objective=objective,
+                )
+                for objective in ("minmax", "mindist", "maxsum")
+            ]
+        )
+        engine = session.distances
+        tables = (
+            engine._imind_pp, engine._imind_node, engine._d2d_cache
+        )
+        assert engine.cache_entries() > 0
+        walked = sum(sys.getsizeof(table) for table in tables)
+        for table in tables:
+            for key, value in table.items():
+                assert len(key) == 2 and type(value) is float
+                walked += sys.getsizeof(key) + sys.getsizeof(value)
+        assert engine.cache_bytes() == walked
 
 
 class TestStatsManagement:

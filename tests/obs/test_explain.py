@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro import FacilitySets, IFLSEngine, QueryRequest, run_batch_parallel
+from repro import FacilitySets, IFLSEngine, QueryRequest
+from repro.index.distance import DistanceStats
 from repro.obs import profile as profile_module
 from repro.obs.explain import (
     DISTANCE_COUNTER_KEYS,
@@ -212,6 +213,23 @@ class TestSerialisation:
             assert column_sum == report.distance_totals.get(key, 0)
 
 
+    def test_counter_keys_are_the_full_ledger(self):
+        assert DISTANCE_COUNTER_KEYS == tuple(DistanceStats().snapshot())
+
+    def test_kernel_path_shows_kernel_batches(self, setup, tmp_path):
+        pytest.importorskip("numpy")
+        engine, clients, facilities = setup
+        kernel = IFLSEngine(engine.venue, tree=engine.tree, use_kernels=True)
+        report = kernel.explain(clients, facilities, cold=True)
+        batches = report.distance_totals["kernel_batches"]
+        assert batches > 0
+        path = tmp_path / "explain.csv"
+        write_explain_csv(report, path)
+        rows = read_explain_csv(path)
+        assert sum(row["kernel_batches"] for row in rows) == batches
+        assert "kernel_batches" in report.describe(timings=False)
+
+
 class TestBoundSampling:
     def test_bound_limit_validation(self):
         with pytest.raises(ValueError):
@@ -283,8 +301,8 @@ class TestSessionAndParallel:
         engine, _, _ = setup
         batch = self._batch(setup)
         serial_results = engine.session().run(batch)
-        outcome = run_batch_parallel(engine, batch, 2)
-        reports = [result.explain for result in outcome.results]
+        parallel_results = engine.session().run(batch, workers=2)
+        reports = [result.explain for result in parallel_results]
         assert len(reports) == len(batch)
         assert [r.label for r in reports] == ["q1", "q2", "q3", "q4"]
         serial_reports = [result.explain for result in serial_results]
@@ -306,8 +324,8 @@ class TestSessionAndParallel:
     def test_parallel_without_explain_returns_no_reports(self, setup):
         engine, _, _ = setup
         batch = self._batch(setup, explain=(False,) * 4)
-        outcome = run_batch_parallel(engine, batch, 2)
-        assert [r.explain for r in outcome.results] == [None] * 4
+        results = engine.session().run(batch, workers=2)
+        assert [r.explain for r in results] == [None] * 4
 
     def test_request_flag_explains_on_serial_and_parallel(self, setup):
         """Only requests with ``explain=True`` come back with a report,
@@ -317,7 +335,7 @@ class TestSessionAndParallel:
         batch = self._batch(setup, explain=(True, False, True, False))
         paths = {
             "serial": engine.session().run(batch),
-            "parallel": run_batch_parallel(engine, batch, 2).results,
+            "parallel": engine.session().run(batch, workers=2),
         }
         for results in paths.values():
             for result in (results[0], results[2]):

@@ -1,9 +1,10 @@
 """Bad query and stream inputs over the wire.
 
-Each write path (``/query``, ``/batch``, ``/stream/<id>/events``)
-must answer 400 before any solver runs: a bad query never joins a
-coalesced flush (where it would fail its co-batched strangers), and a
-bad stream event never reaches the resident crowd.
+Each write path (``/query``, ``/batch``, ``/stream``,
+``/stream/<id>/events``) must answer 400 before any solver runs: a bad
+query never joins a coalesced flush (where it would fail its
+co-batched strangers), a bad stream body opens no stream, and a bad
+stream event never reaches the resident crowd.
 """
 
 import math
@@ -64,6 +65,7 @@ BAD_QUERIES = {
     "nan-string": lambda p: with_location(p, "nan"),
     "string-flag": lambda p: {**p, "prune_clients": "false"},
     "int-flag": lambda p: {**p, "group_by_partition": 0},
+    "string-ids": lambda p: {**p, "existing": "12", "candidates": "345"},
 }
 
 
@@ -135,6 +137,25 @@ def test_bad_query_does_not_fail_a_co_batched_stranger(harness, good):
             ), case
     finally:
         gate.remove()
+
+
+#: ``POST /stream`` bodies that must not open a stream.
+BAD_STREAM_OPENS = {
+    "string-ids": {"existing": "12", "candidates": "345"},
+    "string-flag": {"candidates": [3], "incremental": "false"},
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_STREAM_OPENS))
+def test_stream_open_rejected_with_400(harness, case):
+    _, health = harness.request("GET", "/health")
+    status, body = harness.request(
+        "POST", "/stream", BAD_STREAM_OPENS[case]
+    )
+    assert status == 400
+    assert body["error"] == "ProtocolError"
+    _, after = harness.request("GET", "/health")
+    assert after["streams"]["open"] == health["streams"]["open"]
 
 
 @pytest.mark.parametrize(

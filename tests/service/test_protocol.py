@@ -162,6 +162,32 @@ class TestStreamParsers:
         with pytest.raises(ProtocolError):
             parse_stream_open_payload({"existing": ["x"]})
 
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_open_payload_incremental_takes_json_booleans_only(
+        self, value
+    ):
+        from repro.service.protocol import parse_stream_open_payload
+
+        with pytest.raises(ProtocolError, match="incremental"):
+            parse_stream_open_payload(
+                {"candidates": [2], "incremental": value}
+            )
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"existing": "12", "candidates": "345"},
+            {"candidates": {"2": 1}},
+            {"candidates": [2.0]},
+            {"candidates": [False]},
+        ],
+    )
+    def test_open_payload_ids_take_integer_arrays_only(self, payload):
+        from repro.service.protocol import parse_stream_open_payload
+
+        with pytest.raises(ProtocolError, match="integers"):
+            parse_stream_open_payload(payload)
+
     def test_events_payload_both_spellings(self):
         from repro.service.protocol import parse_events_payload
 

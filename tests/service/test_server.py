@@ -308,7 +308,7 @@ class TestIntrospection:
     ):
         """Reads during a flush leave the busy session alone: /metrics
         reports the ledger of the last completed flush, /health the
-        session as checked out with no cache bytes counted."""
+        session as checked out with the memo bytes it holds."""
         harness = ServiceHarness(open_venue(office_venue))
         try:
             status, _ = harness.request(
@@ -332,15 +332,15 @@ class TestIntrospection:
         finally:
             harness.close()
         assert (health_status, status) == (200, 200)
+        assert before["pool"]["cache_bytes"] > 0
         assert health["pool"] == {
             "sessions": 1,
             "idle": 0,
             "checked_out": 1,
-            "cache_bytes": 0,
+            "cache_bytes": before["pool"]["cache_bytes"],
         }
         assert metrics["ledger_violations"] == []
         assert metrics["ledger"] == before["ledger"]
-        assert before["pool"]["cache_bytes"] > 0
 
     def test_reads_race_flushes_without_errors(
         self, office_venue, workload

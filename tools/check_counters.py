@@ -25,9 +25,9 @@ asserts the structural invariants of :class:`QueryStats` /
 * an engine with a memo budget of 0 reports zero cache hits;
 * session totals equal the sum of the per-query ``result.stats``
   deltas;
-* a sharded parallel run returns the serial answers, and its merged
-  per-worker totals both satisfy the ledger identities and equal the
-  sum of the results' per-query deltas;
+* a sharded ``session.run(batch, workers=2)`` returns the serial
+  answers, and the session's ledger both satisfies the ledger
+  identities and equals the sum of the results' per-query deltas;
 * the query service's ledger (its resident session's counters,
   snapshotted at the end of each flush) satisfies the same
   identities, equals the sum of the per-response deltas, and the
@@ -96,11 +96,11 @@ from repro import (  # noqa: E402
     VIPTree,
 )
 from repro.core.baseline import modified_minmax  # noqa: E402
-from repro.core.parallel import run_batch_parallel  # noqa: E402
 from repro.core.queries import OBJECTIVES  # noqa: E402
 from repro.core.problem import IFLSProblem  # noqa: E402
 from repro.core.stats import (  # noqa: E402
     distance_invariant_violations,
+    merge_query_stats,
     merge_snapshots,
 )
 from repro.datasets import small_office, venue_by_name  # noqa: E402
@@ -311,24 +311,28 @@ def run_checks() -> List[str]:
                 random_facility_sets(venue, 3, 6, batch_rng),
             )
         )
-    serial = run_batch_parallel(engine, batch, 1)
-    sharded = run_batch_parallel(engine, batch, 2)
-    if sharded.answers != serial.answers:
+    serial = engine.session().run(batch)
+    session = engine.session()
+    sharded = session.run(batch, workers=2)
+    answers = [(r.answer, r.objective) for r in sharded]
+    serial_answers = [(r.answer, r.objective) for r in serial]
+    if answers != serial_answers:
         violations.append(
             "parallel: sharded answers differ from serial "
-            f"({sharded.answers} != {serial.answers})"
+            f"({answers} != {serial_answers})"
         )
-    for message in distance_invariant_violations(sharded.report.totals):
+    totals = session.report().totals
+    for message in distance_invariant_violations(totals):
         violations.append(f"parallel/merged: {message}")
     summed = merge_snapshots(
-        result.stats.distance.snapshot() for result in sharded.results
+        result.stats.distance.snapshot() for result in sharded
     )
-    if summed != sharded.report.totals:
+    if summed != totals:
         violations.append(
-            "parallel: merged per-query deltas do not sum to merged "
-            f"totals ({summed} != {sharded.report.totals})"
+            "parallel: per-query deltas do not sum to the session "
+            f"ledger ({summed} != {totals})"
         )
-    merged_query = sharded.query_stats
+    merged_query = merge_query_stats(result.stats for result in sharded)
     if merged_query.queue_pops > merged_query.queue_pushes:
         violations.append(
             "parallel: merged queue_pops "

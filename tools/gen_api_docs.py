@@ -29,6 +29,61 @@ OUT = Path(__file__).resolve().parents[1] / "docs" / "API.md"
 # Hand-maintained prose sections are authored HERE (the output file
 # is generated; edits to docs/API.md are overwritten).
 MIGRATION = """\
+## Migrating to 9.0
+
+9.0 has one batch executor: `QuerySession.run(batch, workers=N)`,
+which `Engine.run` already called.  Its sharded branch returns the
+results and nothing else, because each result already carries its own
+time, distance delta and EXPLAIN report.  Answers and counters are
+unchanged.  A sharded batch now names an unlabelled request `q<n>`
+after the session's running count, as the serial branch does; 8.x
+numbered it from the start of the batch.  Each name 9.0 removed, with
+its replacement:
+
+| Removed in 9.0 | Replacement | Notes |
+|---|---|---|
+| `run_batch_parallel(engine, batch, workers, max_cache_entries=...)` \
+(and its exports from `repro` and `repro.core`) | \
+`engine.session(max_cache_entries=...).run(batch, workers=N)` | \
+`max_cache_entries` still bounds each worker's memo. |
+| `ParallelBatchOutcome` (and its exports from `repro` and \
+`repro.core`), `ParallelBatchOutcome.results` | the list \
+`session.run(batch, workers=N)` returns | `results[i]` answers \
+`batch[i]`. |
+| `ParallelBatchOutcome.answers` | \
+`[(r.answer, r.objective) for r in results]` | |
+| `ParallelBatchOutcome.query_stats` | \
+`repro.core.stats.merge_query_stats(r.stats for r in results)` | |
+| `ParallelBatchOutcome.report` (`queries`, `totals`) | \
+`session.report()` | The session's ledger grows by the sum of the \
+results' `stats.distance`. |
+| `ParallelBatchOutcome.report.cache_sizes`, `.cache_entries`, \
+`.cache_bytes` (the workers' combined memo footprint), and \
+`ShardOutcome.cache_sizes`, `cache_entries`, `cache_bytes`, \
+`worker_pid` | none | The workers' memos die with the pool, and no \
+shard walks them any more. |
+| `ShardOutcome.totals` | the shard's results' `stats.distance` | |
+| `ParallelBatchOutcome.elapsed_seconds` | `time.perf_counter()` \
+around the call; per query, `result.stats.elapsed_seconds` | |
+| `ParallelBatchOutcome.workers` | the `parallel.workers` gauge under \
+`repro.obs.observe()` | `min(workers, len(batch))` processes run. |
+| `run_batch_parallel(start_method=...)`, \
+`ParallelBatchOutcome.start_method`, the `start_method` attribute of \
+the `parallel.run` span | none; the span's `method` attribute names \
+the one used | The platform picks `fork` where it exists and `spawn` \
+otherwise (`repro.core.parallel.default_start_method`). |
+
+Three behaviours change with no name removed.
+`VIPDistanceEngine.cache_bytes()` charges each memo table's own size
+plus one two-int key tuple and one float per entry, without walking
+the entries; where tables share a float object it reads above the old
+walk.  `GET /health` and `GET /metrics` report `pool.cache_bytes`
+during a flush too, where 8.x read 0.  And the wire decoders are
+strict: `existing` and `candidates` must be JSON arrays of integers on
+`/query`, `/batch` and `/stream`, and `POST /stream` takes
+`incremental` as JSON `true` / `false` only; anything else is HTTP
+400.
+
 ## Migrating to 8.0
 
 8.0 keeps one record per query: its result.  A `QuerySession` keeps
